@@ -439,7 +439,7 @@ def oracle_sql() -> dict[str, str]:
             FROM (SELECT * FROM merged ORDER BY score DESC, doc_id LIMIT 10)
         """,
         # dis_max with tie_breaker 0.3: best + 0.3 * (sum - best) — the
-        # non-best field contributes a weighted share (engine: dismax_merge)
+        # non-best field contributes a weighted share (engine: best_fields_search)
         "q_best_fields_tb": _BEST_FIELDS_CTES + """
             merged AS (
                 SELECT coalesce(s_text.doc_id, s_title.doc_id) AS doc_id,

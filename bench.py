@@ -178,40 +178,28 @@ def run_bench() -> dict:
     qds.map_batches(QueryScorer, **cached_kwargs).count()
     t_query_cached = time.time() - t0
 
-    # (c) sharding-mode comparison (VERDICT round-4 item 1): the same query
-    # set through the term-sharded router (per-term scatter, match-map
-    # merge) vs the doc-partitioned pool (full local top-k per range,
-    # O(pool×k) merge) at pool 8 — serial requests, router RTT included
-    from nmr_fair_dos_ray.search.distributed import (
-        DocShardedSearcher, ShardedSearcher,
-    )
+    # (c) doc-partitioned serving pool at pool 8 (full local top-k per
+    # range, O(pool×k) merge) — serial requests, router RTT included
+    from nmr_fair_dos_ray.search.distributed import DocShardedSearcher
 
     shard_queries = (queries * (500 // max(1, len(queries)) + 1))[:500]
-    sharding = {}
-    for mode, cls in (
-        ("term_sharded", ShardedSearcher),
-        ("doc_sharded", DocShardedSearcher),
-    ):
-        # construct INSIDE the loop: the first mode must be measured without
-        # the second pool's 8 actors resident, and a failure in one mode
-        # must not leak the other's actors
-        pool = cls(idx_dir, pool_size=8)
-        try:
-            for q in shard_queries[:32]:  # warm actors + caches
-                pool.search(q, k=10)
-            lat = []
-            t0 = time.time()
-            for q in shard_queries:
-                q0 = time.time()
-                pool.search(q, k=10)
-                lat.append((time.time() - q0) * 1000)
-            dt = time.time() - t0
-            sharding[mode] = {
-                "qps": round(len(shard_queries) / dt, 1),
-                "p50_ms": round(float(np.percentile(np.array(lat), 50)), 2),
-            }
-        finally:
-            pool.shutdown()
+    pool = DocShardedSearcher(idx_dir, pool_size=8)
+    try:
+        for q in shard_queries[:32]:  # warm actors + caches
+            pool.search(q, k=10)
+        lat = []
+        t0 = time.time()
+        for q in shard_queries:
+            q0 = time.time()
+            pool.search(q, k=10)
+            lat.append((time.time() - q0) * 1000)
+        dt = time.time() - t0
+        sharding = {"doc_sharded": {
+            "qps": round(len(shard_queries) / dt, 1),
+            "p50_ms": round(float(np.percentile(np.array(lat), 50)), 2),
+        }}
+    finally:
+        pool.shutdown()
 
     # ---- headline 3: representative data-processing pipelines
     for name, fn in [

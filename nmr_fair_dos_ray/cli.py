@@ -69,91 +69,36 @@ def cmd_build(args: argparse.Namespace) -> int:
 
 
 def cmd_search(args: argparse.Namespace) -> int:
-    from nmr_fair_dos_ray.search.engine import (
-        IndexReader, Searcher, best_fields_search,
-    )
+    from nmr_fair_dos_ray.search.engine import IndexReader, Searcher, run_query
 
     dirs = args.index if isinstance(args.index, list) else [args.index]
     mode = args.mode
+    params = {
+        "bm25": {"algorithm": args.algorithm},
+        "near": {"slop": args.slop, "ordered": not args.unordered},
+        "fuzzy": {"max_edits": args.max_edits},
+        "query": {"max_edits": args.max_edits},
+        "best_fields": {"tie_breaker": args.tie_breaker},
+    }.get(mode, {})
     pool_meta = {}
     if args.pool > 1:
-        # actor-pool serving from the CLI: doc-partitioned (default, O(pool×k)
-        # router merge) or term-sharded — results bit-equal to local. Falls
-        # through to the shared fetch-phase/print code below.
-        from nmr_fair_dos_ray.search.distributed import (
-            DocShardedSearcher, ShardedSearcher,
-        )
+        # doc-partitioned actor pool (O(pool×k) router merge) — results
+        # bit-equal to local serving
+        from nmr_fair_dos_ray.search.distributed import DocShardedSearcher
 
         _ensure_ray()
-        if mode == "best_fields" and args.sharding != "doc":
-            raise SystemExit(
-                "best_fields with --pool needs --sharding doc (each actor "
-                "holds all field slices for its range)"
-            )
-        if args.sharding == "doc":
-            pool = DocShardedSearcher(dirs[0], pool_size=args.pool,
-                                      field_dirs=dirs[1:] or None)
-        else:
-            pool = ShardedSearcher(dirs[0], pool_size=args.pool)
+        pool = DocShardedSearcher(dirs[0], pool_size=args.pool,
+                                  field_dirs=dirs[1:] or None)
         try:
-            if mode == "bm25":
-                if args.algorithm != "bmw":
-                    raise SystemExit(
-                        "--algorithm applies to local serving; pooled "
-                        "results are bit-equal to bmw — drop --algorithm "
-                        "or --pool"
-                    )
-                hits = pool.search(args.query, k=args.k)
-            elif mode == "and":
-                hits = pool.search_and(args.query, k=args.k)
-            elif mode == "phrase":
-                hits = pool.search_phrase(args.query, k=args.k)
-            elif mode == "near":
-                hits = pool.search_near(args.query, k=args.k, slop=args.slop,
-                                        ordered=not args.unordered)
-            elif mode == "prefix":
-                hits = pool.search_prefix(args.query, k=args.k)
-            elif mode == "regex":
-                hits = pool.search_regex(args.query, k=args.k)
-            elif mode == "wildcard":
-                hits = pool.search_wildcard(args.query, k=args.k)
-            elif mode == "fuzzy":
-                hits = pool.search_fuzzy(args.query, k=args.k,
-                                         max_edits=args.max_edits)
-            elif mode == "best_fields":
-                hits = pool.best_fields(args.query, k=args.k,
-                                        tie_breaker=args.tie_breaker)
-            else:
-                hits = pool.search_query(args.query, k=args.k)
+            hits = pool.run(mode, args.query, args.k, **params)
         finally:
             pool.shutdown()
-        pool_meta = {"sharding": args.sharding, "pool": args.pool}
-    elif mode == "best_fields":
-        searchers = [Searcher(IndexReader(d)) for d in dirs]
-        hits = best_fields_search(
-            searchers, args.query, k=args.k, tie_breaker=args.tie_breaker
-        )
+        pool_meta = {"sharding": "doc", "pool": args.pool}
     else:
-        s = Searcher(IndexReader(dirs[0]))
-        if mode == "bm25":
-            hits = s.search(args.query, k=args.k, algorithm=args.algorithm)
-        elif mode == "and":
-            hits = s.search_and(args.query, k=args.k)
-        elif mode == "phrase":
-            hits = s.search_phrase(args.query, k=args.k)
-        elif mode == "near":
-            hits = s.search_near(args.query, k=args.k, slop=args.slop,
-                                 ordered=not args.unordered)
-        elif mode == "prefix":
-            hits = s.search_prefix(args.query, k=args.k)
-        elif mode == "regex":
-            hits = s.search_regex(args.query, k=args.k)
-        elif mode == "wildcard":
-            hits = s.search_wildcard(args.query, k=args.k)
-        elif mode == "fuzzy":
-            hits = s.search_fuzzy(args.query, k=args.k, max_edits=args.max_edits)
-        else:  # query-string grammar (+term -term "phrase" field:v pref* term~)
-            hits = s.search_query(args.query, k=args.k)
+        # best_fields scores one index per field; other modes read the first
+        searchers = [Searcher(IndexReader(d))
+                     for d in (dirs if mode == "best_fields" else dirs[:1])]
+        hits = run_query(searchers, mode, args.query, args.k, **params)
     rows = [{"rank": i + 1, "doc_id": d, "score": sc}
             for i, (d, sc) in enumerate(hits)]
     if args.fetch and rows:
@@ -280,11 +225,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     s.add_argument("--max-edits", type=int, default=1, choices=(1, 2))
     s.add_argument("--pool", type=int, default=1,
-                   help="serve from an actor pool of this size instead of "
-                        "a local reader (results identical)")
-    s.add_argument("--sharding", choices=("doc", "term"), default="doc",
-                   help="pool layout: doc ranges (O(pool*k) merge) or "
-                        "term hash")
+                   help="serve from a doc-partitioned actor pool of this "
+                        "size instead of a local reader (results identical)")
     s.add_argument("--slop", type=int, default=0,
                    help="near mode: max extra tokens per consecutive gap")
     s.add_argument("--unordered", action="store_true",

@@ -90,7 +90,8 @@ def harvest_window(
     long-format extraction rows of the window, written as a partitioned
     parquet directory ``out_dir/window=<start>__<end>/`` (skipped whole if
     it already finished — write-once resume). The watermark advances to
-    ``end`` only after the output is durable."""
+    ``end`` only after the output is durable, and only forwards: a
+    historical backfill window leaves it where it was."""
     from nmr_fair_dos_ray.pipelines.extract import extract_records
     from nmr_fair_dos_ray.sources.envelopes import synthesize_envelopes
 
@@ -134,7 +135,8 @@ def harvest_window(
     with open(tmp, "w") as f:
         json.dump(info, f)
     os.replace(tmp, done_marker)  # marker LAST: output is durable first
-    write_watermark(state_dir, source, end)
+    if wm is None or end > wm:  # a backfill window never moves it back
+        write_watermark(state_dir, source, end)
     return info
 
 

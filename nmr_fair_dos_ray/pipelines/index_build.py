@@ -365,9 +365,11 @@ class Phase1Invert:
         docs = pa.table(docs_cols)
 
         wi = int(item["work_item_id"])
-        run_path = os.path.join(self.runs_dir, f"run_{wi:06d}.parquet")
-        docs_path = os.path.join(self.docs_dir, f"docs_{wi:06d}.parquet")
-        df_path = os.path.join(self.runs_dir, f"df_{wi:06d}.parquet")
+        run_name, docs_name, df_name = (
+            f"{p}_{wi:06d}.parquet" for p in ("run", "docs", "df"))
+        run_path = os.path.join(self.runs_dir, run_name)
+        docs_path = os.path.join(self.docs_dir, docs_name)
+        df_path = os.path.join(self.runs_dir, df_name)
         _atomic_write_run(postings, run_path)
         _atomic_write_parquet(docs, docs_path)
         # partial document frequencies (term_hash → rows-in-run): a tiny
@@ -398,9 +400,10 @@ class Phase1Invert:
             "doc_max": int(doc_ids.max()) if n else -1,
             "sum_doclen": int(doclens.sum()),
             "n_postings": int(postings.num_rows),
-            "run_path": run_path,
-            "docs_path": docs_path,
-            "df_path": df_path,
+            # logged relative to the index dir (see _part_path)
+            "run_path": os.path.join("runs", run_name),
+            "docs_path": os.path.join("docs", docs_name),
+            "df_path": os.path.join("runs", df_name),
             "bytes": int(os.path.getsize(run_path) + os.path.getsize(docs_path)),
             "wall_sec": time.time() - t0,
             # per-task CPU (whole worker process incl. arrow threads): the
@@ -408,6 +411,16 @@ class Phase1Invert:
             # slower" from "host inflated per-task CPU" in scaling runs
             "cpu_sec": time.process_time() - c0,
         }
+
+
+def _part_path(index_dir: str, col: str, logged: str) -> str:
+    """Absolute path of an invert partition-log file entry. Entries are
+    logged relative to the index dir; older logs hold absolute paths, which
+    resolve by file name under THIS index's ``runs/``/``docs/`` — so a
+    copied or moved index reads and keeps its own files, never the
+    original's."""
+    sub = "docs" if col == "docs_path" else "runs"
+    return os.path.join(index_dir, sub, os.path.basename(logged))
 
 
 def _clear_dir(d: str) -> None:
@@ -679,7 +692,8 @@ def build_index(
             for col in ("run_path", "docs_path", "df_path"):
                 for p in keep_tbl[col].to_pylist():
                     if p:
-                        keep_files.add(os.path.abspath(p))
+                        keep_files.add(os.path.abspath(
+                            _part_path(index_dir, col, p)))
         for d in (runs_dir, docs_dir):
             if os.path.isdir(d):
                 for fn in os.listdir(d):
@@ -705,7 +719,8 @@ def build_index(
                 prev["run_path"].to_pylist(),
                 prev["docs_path"].to_pylist(),
             ):
-                if os.path.exists(rp) and os.path.exists(dp):
+                if (os.path.exists(_part_path(index_dir, "run_path", rp))
+                        and os.path.exists(_part_path(index_dir, "docs_path", dp))):
                     done_p1.add(int(w))
     todo = [it for it in items if it["work_item_id"] not in done_p1]
     # planned hot threshold (doc count known up front from the footer scout)
@@ -783,7 +798,7 @@ def build_index(
     # would break bucket doc-range disjointness past 10^6 work items
     _wi_order = np.argsort(parts_tbl["work_item_id"].to_numpy(zero_copy_only=False))
     _rp = parts_tbl["run_path"].to_pylist()
-    run_paths = [_rp[i] for i in _wi_order]
+    run_paths = [_part_path(index_dir, "run_path", _rp[i]) for i in _wi_order]
 
     # -------- phase 1.5: hot-term detection (salted-repartition prep) -----
     # Cheap: per-block partial df counts (one row per distinct term per run)
@@ -805,7 +820,8 @@ def build_index(
             import pyarrow.dataset as pads
 
             df_paths = sorted(
-                pth for pth in parts_tbl["df_path"].to_pylist() if pth
+                _part_path(index_dir, "df_path", pth)
+                for pth in parts_tbl["df_path"].to_pylist() if pth
             )
             t = pads.dataset(df_paths).to_table(columns=["term_hash", "cnt"])
             th_all = t["term_hash"].to_numpy(zero_copy_only=False)

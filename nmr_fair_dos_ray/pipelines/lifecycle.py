@@ -545,10 +545,13 @@ def refresh_stats(index_dir: str) -> dict:
 
     Requires a compacted index (no outstanding tombstones): refreshing with
     tombstones present would count dead docs into df/avgdl. Per-file
-    rewrites are atomic (tmp + rename); a crashed refresh re-runs safely —
-    re-scaling an already-rewritten file only loosens its bounds (scale
-    ≥ 1), never invalidates them, and the manifest (written LAST) flips
-    the stats exactly once."""
+    rewrites are atomic (tmp + rename) and the manifest is written LAST, but
+    the pass as a whole is not: after a crash mid-pass, the shard files
+    already rewritten carry the new df while the manifest still holds the
+    old n_docs/avgdl, so searches score a mix of old and new stats until
+    the refresh is re-run. Re-running is safe: re-scaling an
+    already-rewritten file only loosens its block bounds (scale ≥ 1),
+    never invalidates them, so rankings converge to the no-crash result."""
     import ray.data as rd
 
     from nmr_fair_dos_ray.search.bm25 import bm25_idf

@@ -1,798 +1,49 @@
-"""Term-sharded distributed serving: shard actors + scatter-gather router.
+"""Doc-partitioned distributed serving: range actors + scatter-gather router.
 
-The multi-node serving layout promised by the engine design (SURVEY.md §2.5
-"index-shard actors", BASELINE.json north_star "actor pool holding
-memory-mapped index shards"): each :class:`ShardActor` holds ONLY the shard
-files whose ``shard_id % pool_size`` equals its slot (plus its slice of the
-finalized hot-term shard, routed by the same key), so index memory is
-partitioned — not replicated — across the pool, and capacity scales by
-adding actors/nodes. The actor state is the SAME Arrow/numpy zero-copy
-layout the local reader uses (``IndexReader.build_state(slot=...)``) — no
-per-term Python dicts (VERDICT round-1 item 8).
+The serving layout of the reference's Elasticsearch backend, where every
+shard is a Lucene index over a subset of the documents
+(src/nmr_FAIR_DOs/connectors/elasticsearch.py:234-313). The doc_id space is
+split into ``pool_size`` contiguous ranges balanced by doc COUNT; each
+:class:`DocShardActor` holds ONE range — all terms, but only the posting
+blocks that intersect its range (``IndexReader.build_state(doc_range=...)``)
+— so posting bytes are partitioned, not replicated, across the pool.
 
-A query routes each term to the one actor owning it (``term_hash %
-num_shards % pool_size``), scatters one ``score_terms`` call per involved
-actor, and gathers per-term ``(doc_id, contribution)`` arrays. The router
-accumulates them in sorted term order — the same accumulation order as the
-local TAAT/BMW paths and the oracle — so results are bit-identical to a
-single-process search. Doc lengths and global stats are broadcast once via
-``ray.put`` (zero-copy views from the node's object store).
-
-Block-max threshold pushdown (two rounds, provably lossless):
-round 1 fetches per-term metadata (df, max block contribution) from every
-owner plus the FULL contributions of the rarest term; the k-th best of those
-contributions is a lower bound θ on the final k-th score (scores are
-non-negative, so any partial accumulation lower-bounds the total). Round 2
-ships θ and, per term t, the bound S_other(t) = Σ_{t'≠t} term_max(t'); an
-actor then skips any block with ``block_max + S_other < θ`` — every doc in
-such a block has total ≤ block_max + S_other < θ ≤ final k-th score, so it
-cannot reach (or tie into) the top-k, and omitting its contribution cannot
-promote it either (omission only lowers its accumulated score). Results stay
-bit-identical to the unpruned path for the returned top-k.
+Every query runs completely inside each actor through the engine's single
+mode dispatch (:func:`engine.run_query`), so each actor returns its local
+top-k and the router merges pool×k rows. Global stats (n_docs, avgdl, df)
+stay corpus-wide in every slice and the ranges are disjoint, so results are
+bit-equal to the local :class:`~nmr_fair_dos_ray.search.engine.Searcher`
+for every query mode and parameter.
 """
 
 from __future__ import annotations
 
-import json
 import os
-from collections import defaultdict
+from collections import Counter
 
 import numpy as np
 
 import ray
 
-from nmr_fair_dos_ray.search.bm25 import bm25_idf, bm25_term_scores
-from nmr_fair_dos_ray.search.engine import sorted_intersect
-from nmr_fair_dos_ray.tokenizer import Tokenizer, term_hash_one
+from nmr_fair_dos_ray.search.engine import run_query
 
 
-def _doclen_state(index_dir: str):
-    """(doc_ids_sorted, doclens_sorted, manifest) — the broadcast side."""
+def _sorted_doc_ids(index_dir: str) -> np.ndarray:
+    """The doc store's doc_ids, sorted — all the router needs to cut ranges."""
     import pyarrow.parquet as pq
 
-    with open(os.path.join(index_dir, "manifest.json")) as f:
-        manifest = json.load(f)
-    docs = pq.read_table(
-        os.path.join(index_dir, "docs"), columns=["doc_id", "doclen"],
-        memory_map=True,
-    )
-    ids = docs["doc_id"].to_numpy(zero_copy_only=False)
-    order = np.argsort(ids, kind="stable")
-    return ids[order], docs["doclen"].to_numpy(zero_copy_only=False)[order], manifest
+    ids = pq.read_table(
+        os.path.join(index_dir, "docs"), columns=["doc_id"], memory_map=True,
+    )["doc_id"].to_numpy(zero_copy_only=False)
+    return np.sort(ids)
 
-
-@ray.remote
-class ShardActor:
-    """Holds its slot's shard slice as an Arrow-resident IndexReader."""
-
-    def __init__(self, index_dir: str, slot: int, pool_size: int, doclen_ref):
-        from nmr_fair_dos_ray.search.engine import IndexReader
-
-        # top-level ObjectRef args are auto-resolved by Ray; accept both
-        state_docs = (
-            ray.get(doclen_ref)
-            if isinstance(doclen_ref, ray.ObjectRef)
-            else doclen_ref
-        )
-        ids, lens, _manifest = state_docs
-        st = IndexReader.build_state(
-            index_dir, slot=slot, pool_size=pool_size, load_docs=False
-        )
-        st["doc_ids_sorted"] = ids
-        st["doclens_sorted"] = lens
-        # bound the per-node positional-cache aggregate: each actor gets
-        # 1/pool_size of the default single-reader budget, so budget×actors
-        # never exceeds one local reader's ceiling regardless of pool size
-        total = (IndexReader.POSITIONS_CACHE_BUDGET
-                 + IndexReader.P_ENDS_CACHE_BUDGET
-                 + IndexReader.P_KEYS_CACHE_BUDGET)
-        self.reader = IndexReader.from_state(
-            st, cache_budget_bytes=total // max(1, pool_size)
-        )
-
-    def term_meta(self, terms: list[str]) -> dict:
-        """{term: (df, max block contribution)} for owned terms — the cheap
-        round-1 metadata behind the threshold pushdown."""
-        r = self.reader
-        out = {}
-        for term in terms:
-            tid = r._lookup(term)
-            if tid is None:
-                continue
-            j0, j1 = int(r._boff[tid]), int(r._boff[tid + 1])
-            tmax = float(r._b_max[j0:j1].max()) if j1 > j0 else 0.0
-            out[term] = (int(r._df[tid]), tmax)
-        return out
-
-    def score_terms(
-        self,
-        terms: list[str],
-        theta: float = 0.0,
-        s_other: dict | None = None,
-    ) -> dict:
-        """{term: (doc_ids, contributions)} for the terms this actor owns.
-
-        With ``theta`` > 0, blocks whose ``max_score + s_other[term]`` is
-        strictly below theta are skipped (see module docstring for why this
-        is lossless for the final top-k)."""
-        r = self.reader
-        out = {}
-        for term in terms:
-            tid = r._lookup(term)
-            if tid is None:
-                continue
-            j0, j1 = int(r._boff[tid]), int(r._boff[tid + 1])
-            if j1 == j0:
-                continue
-            idf = bm25_idf(int(r._df[tid]), r.n_docs)
-            if theta > 0.0 and s_other is not None:
-                keep = r._b_max[j0:j1] + s_other.get(term, 0.0) >= theta
-            else:
-                keep = np.ones(j1 - j0, bool)
-            if not keep.any():
-                out[term] = (np.empty(0, np.int64), np.empty(0, np.float64))
-                continue
-            if keep.all():
-                docs, tfs = r.postings(term)  # LRU-cached whole-list decode
-            else:
-                # decode each contiguous run of kept blocks in one pass
-                kept = np.flatnonzero(keep) + j0
-                runs = np.split(kept, np.flatnonzero(np.diff(kept) > 1) + 1)
-                ds, ts = [], []
-                for run in runs:
-                    d, f = r._decode_range(int(run[0]), int(run[-1]) + 1)
-                    ds.append(d)
-                    ts.append(f)
-                docs = np.concatenate(ds)
-                tfs = np.concatenate(ts)
-                dm = r.deleted_mask(docs)
-                if dm is not None:
-                    # partial block decodes are raw — mask tombstoned docs
-                    # (the whole-list path goes through r.postings, which
-                    # already masks)
-                    docs, tfs = docs[~dm], tfs[~dm]
-            scores = bm25_term_scores(
-                tfs, r.doclens(docs), idf, r.k1, r.b, r.avgdl
-            )
-            out[term] = (docs, scores)
-        return out
-
-    def term_count(self) -> int:
-        return len(self.reader._terms_arr)
-
-    def state_nbytes(self) -> int:
-        """Approximate resident bytes of this actor's shard slice (posting
-        metadata + compressed streams; doclen arrays excluded — those are a
-        shared broadcast)."""
-        r = self.reader
-        n = 0
-        for arr in (r._df, r._boff, r._b_base, r._b_last, r._b_n, r._b_max,
-                    r._b_maxtf, r._docs_offs, r._docs_data, r._tfs_offs,
-                    r._tfs_data):
-            n += arr.nbytes
-        n += sum(
-            buf.size for buf in r._terms_arr.buffers() if buf is not None
-        )
-        return n
-
-    def exact_docs(self, term: str) -> np.ndarray:
-        r = self.reader
-        tid = r._lookup(term)
-        if tid is None:
-            return np.empty(0, np.int64)
-        return r.postings(term)[0]
-
-    def expand_prefix(self, prefix: str, max_expansions: int | None) -> list[str]:
-        """Prefix expansion over THIS slot's term dictionary (the union over
-        slots is the global expansion — dictionary sharding parallelizes the
-        scan). The per-slot cap keeps each slot's contribution bounded; the
-        router re-applies the global (df desc, term asc) cap."""
-        return self.reader.expand_prefix(prefix, max_expansions)
-
-    def expand_fuzzy(self, term: str, max_edits: int) -> list[str]:
-        """Fuzzy expansion over this slot's dictionary — the SymSpell
-        deletion index builds once per actor (slot-local, ~1/pool_size of
-        the terms) on first use."""
-        return self.reader.expand_fuzzy(term, max_edits)
-
-    def expand_regex(self, pattern: str, max_expansions: int | None) -> list[str]:
-        """Anchored-regex expansion over THIS slot's dictionary slice — the
-        union over slots is the global expansion (same parallel-scan shape
-        as prefix)."""
-        return self.reader.expand_regex(pattern, max_expansions)
-
-    def positions(self, term: str, candidates: np.ndarray | None = None):
-        """Decoded (tombstone-masked) positional postings of an owned term —
-        the per-term fetch behind distributed phrase matching. With
-        ``candidates`` (the router's doc-set intersection) the actor
-        seek-decodes and RETURNS only candidate postings — both the decode
-        and the RPC payload scale with the candidates, not the term's df."""
-        return self.reader.positions(term, candidates)
-
-    def has_positions(self) -> bool:
-        """Whether this slot's index carries a positional stream — lets the
-        router distinguish 'index built without store_positions' (raise,
-        like the local engine) from 'term absent' (no match)."""
-        return self.reader.has_positions
-
-    def facet_counts(self, prefix: str, matches: np.ndarray) -> list[tuple[str, int]]:
-        """Per-value match counts for the ``prefix`` facet terms THIS slot
-        owns, against the router's match set (shipped once via ray.put,
-        zero-copy here). The dictionary is term-partitioned, so the union
-        over slots is the complete, duplicate-free facet table."""
-        from nmr_fair_dos_ray.search.engine import sorted_lookup
-
-        r = self.reader
-        out: list[tuple[str, int]] = []
-        for ft in r.terms_with_prefix(prefix):
-            docs, _ = r.postings(ft)
-            n = int(sorted_lookup(docs, matches)[1].sum())
-            if n:
-                out.append((ft[len(prefix):], n))
-        return out
-
-
-class ShardedSearcher:
-    """Scatter-gather top-k over a :class:`ShardActor` pool."""
-
-    #: engage the 2-round threshold pushdown only when the non-rarest lists
-    #: are big enough that skipped blocks out-pay two extra actor RTTs
-    #: (~6 ms on this VM — pruning is a net loss for short lists)
-    PRUNE_MIN_POSTINGS = 200_000
-
-    def __init__(self, index_dir: str, pool_size: int = 4):
-        with open(os.path.join(index_dir, "manifest.json")) as f:
-            manifest = json.load(f)
-        cfg = manifest["config"]
-        self.tokenizer = Tokenizer(cfg["tokenizer_mode"])
-        self.num_shards = int(cfg["num_shards"])
-        self.pool_size = pool_size
-        doclen_ref = ray.put(_doclen_state(index_dir))
-        self.actors = [
-            ShardActor.remote(index_dir, slot, pool_size, doclen_ref)
-            for slot in range(pool_size)
-        ]
-        # router-side term-metadata cache: (df, term_max) per term, absent
-        # terms cached as None — repeat vocabulary (Zipf) makes round 1 free
-        self._meta_cache: dict[str, tuple[int, float] | None] = {}
-        # lazily resolved on first phrase query (one RPC, then cached)
-        self._has_positions: bool | None = None
-
-    def _term_meta(self, terms: list[str]) -> dict[str, tuple[int, float]]:
-        missing: dict[int, list[str]] = defaultdict(list)
-        for t in terms:
-            if t not in self._meta_cache:
-                missing[self._route(t)].append(t)
-        if missing:
-            futs = {
-                slot: self.actors[slot].term_meta.remote(ts)
-                for slot, ts in missing.items()
-            }
-            for slot, fut in futs.items():
-                got = ray.get(fut)
-                for t in missing[slot]:
-                    self._meta_cache[t] = got.get(t)
-        # build the return dict BEFORE any eviction — clearing first would
-        # drop entries fetched this very call and silently return {} (the
-        # search path then treats every term as absent and yields no hits)
-        out = {t: m for t in terms if (m := self._meta_cache.get(t)) is not None}
-        if len(self._meta_cache) > 65536:
-            self._meta_cache.clear()
-        return out
-
-    def _route(self, term: str) -> int:
-        return (term_hash_one(term) % self.num_shards) % self.pool_size
-
-    def search(self, query: str, k: int = 10,
-               prune: bool = True) -> list[tuple[int, float]]:
-        terms, exact = self.tokenizer.tokenize_query(query)
-        # exact filters route like any term — one RPC wave for all of them
-        docs_of = self._docs_of_many(exact) if exact else {}
-        allowed: np.ndarray | None = None
-        for t in exact:
-            docs = docs_of[t]
-            allowed = docs if allowed is None else sorted_intersect(allowed, docs)
-        if not terms:
-            if allowed is None:
-                return []
-            return [(int(d), 0.0) for d in np.sort(allowed)[:k]]
-
-        by_actor: dict[int, list[str]] = defaultdict(list)
-        for t in terms:  # sorted unique (tokenize_query guarantees)
-            by_actor[self._route(t)].append(t)
-
-        gathered: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        if prune and len(terms) > 1 and allowed is None:
-            # round 1: metadata (router-cached across queries) + full
-            # contributions of the rarest term (cheapest list, tightest
-            # initial threshold)
-            meta = self._term_meta(terms)
-            present = [t for t in terms if t in meta]
-            if not present:
-                return []
-            rarest = min(present, key=lambda t: meta[t][0])
-            if sum(meta[t][0] for t in present if t != rarest) < self.PRUNE_MIN_POSTINGS:
-                # lists too short for the extra round trips to pay off
-                futures = {
-                    slot: self.actors[slot].score_terms.remote(ts)
-                    for slot, ts in by_actor.items()
-                }
-                for slot, fut in futures.items():
-                    gathered.update(ray.get(fut))
-                return self._merge(terms, gathered, allowed, k)
-            gathered.update(
-                ray.get(self.actors[self._route(rarest)].score_terms.remote([rarest]))
-            )
-            docs_r, sc_r = gathered.get(rarest, (np.empty(0), np.empty(0)))
-            theta = 0.0
-            if sc_r.size >= k:
-                theta = float(np.partition(sc_r, sc_r.size - k)[sc_r.size - k])
-            # per-term bound on every OTHER term's max contribution
-            total_max = sum(m[1] for m in meta.values())
-            s_other = {t: total_max - meta[t][1] for t in present}
-            rest: dict[int, list[str]] = defaultdict(list)
-            for t in present:
-                if t != rarest:
-                    rest[self._route(t)].append(t)
-            futures = {
-                slot: self.actors[slot].score_terms.remote(ts, theta, s_other)
-                for slot, ts in rest.items()
-            }
-        else:
-            futures = {
-                slot: self.actors[slot].score_terms.remote(ts)
-                for slot, ts in by_actor.items()
-            }
-        for slot, fut in futures.items():
-            gathered.update(ray.get(fut))
-        return self._merge(terms, gathered, allowed, k)
-
-    def _docs_of(self, term: str) -> np.ndarray:
-        """Posting doc_ids of one term from its owning actor (masked)."""
-        return ray.get(self.actors[self._route(term)].exact_docs.remote(term))
-
-    def _docs_of_many(self, terms: list[str]) -> dict[str, np.ndarray]:
-        """Posting doc_ids for MANY terms — all RPCs launched before any
-        gather, so a k-term constraint costs one round trip, not k (each
-        actor RTT is ~6 ms on the bench VM)."""
-        futs = {t: self.actors[self._route(t)].exact_docs.remote(t)
-                for t in dict.fromkeys(terms)}
-        got = ray.get(list(futs.values()))
-        return dict(zip(futs.keys(), got))
-
-    def _score_list(
-        self, terms: list[str], k: int, allowed: np.ndarray | None = None,
-        forbidden: np.ndarray | None = None,
-        after: tuple[float, int] | None = None,
-    ) -> list[tuple[int, float]]:
-        """Scatter-gather scoring of a pre-expanded SORTED term list (no
-        pruning round — expansion lists are typically short/rare terms)."""
-        if not terms:
-            if allowed is None:
-                return []
-            if forbidden is not None and forbidden.size:
-                allowed = np.setdiff1d(allowed, forbidden)
-            docs = np.sort(allowed)
-            if after is not None:
-                docs = docs[docs > after[1]]
-            return [(int(d), 0.0) for d in docs[:k]]
-        by_actor: dict[int, list[str]] = defaultdict(list)
-        for t in terms:
-            by_actor[self._route(t)].append(t)
-        gathered: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        futures = {
-            slot: self.actors[slot].score_terms.remote(ts)
-            for slot, ts in by_actor.items()
-        }
-        for slot, fut in futures.items():
-            gathered.update(ray.get(fut))
-        return self._merge(terms, gathered, allowed, k, forbidden, after)
-
-    def search_after(
-        self, query: str, k: int = 10,
-        after: tuple[float, int] | None = None,
-    ) -> list[tuple[int, float]]:
-        """Distributed cursor pagination — bit-equal to the local
-        :meth:`Searcher.search_after` (same deterministic float64 scores,
-        same strict (score desc, doc_id asc) cursor filter, applied
-        router-side after the scatter-gather merge). Stateless: a cursor
-        from a local page resumes on the pool and vice versa."""
-        terms, exact = self.tokenizer.tokenize_query(query)
-        docs_of = self._docs_of_many(exact) if exact else {}
-        allowed: np.ndarray | None = None
-        for t in exact:
-            docs = docs_of[t]
-            allowed = docs if allowed is None else sorted_intersect(allowed, docs)
-        return self._score_list(terms, k, allowed, after=after)
-
-    def _positional_plists(self, phrase: str):
-        """(plists, analyzed terms) for the positional kernels, or
-        ``(None, terms)`` when the phrase cannot match. Two rounds: doc
-        sets only (small payloads) → candidate intersection, then
-        candidate-scoped positional fetches — decode and payload
-        proportional to candidates, not hot-term df (same skip-decode as
-        the local engine, so results stay bit-equal).
-
-        Raises ``ValueError`` (same message contract as the local
-        ``Searcher._phrase_match``) when the index was built without
-        ``store_positions`` — a missing positional stream is a
-        configuration error, not an empty result."""
-        from nmr_fair_dos_ray.search.engine import intersect_doc_sets
-
-        if self._has_positions is None:
-            self._has_positions = bool(
-                ray.get(self.actors[0].has_positions.remote())
-            )
-        if not self._has_positions:
-            raise ValueError(
-                "index was built without store_positions=True; phrase search "
-                "needs positional postings"
-            )
-        terms = self.tokenizer.tokenize(phrase)
-        if not terms:
-            return None, terms
-        uniq = sorted(set(terms))
-        dfuts = {t: self.actors[self._route(t)].exact_docs.remote(t) for t in uniq}
-        postings = {t: ray.get(f) for t, f in dfuts.items()}
-        if any(d.size == 0 for d in postings.values()):
-            return None, terms
-        inter = intersect_doc_sets(postings)
-        if inter.size == 0:
-            return None, terms
-        futs = {
-            t: self.actors[self._route(t)].positions.remote(t, inter)
-            for t in uniq
-        }
-        plists = {}
-        for t, fut in futs.items():
-            p = ray.get(fut)
-            if p is None:
-                return None, terms
-            plists[t] = p
-        return plists, terms
-
-    def _phrase_match(self, phrase: str) -> tuple[np.ndarray, np.ndarray]:
-        """Distributed phrase resolution — candidate plumbing in
-        :meth:`_positional_plists`, intersection math shared with the local
-        engine (`phrase_intersect`)."""
-        from nmr_fair_dos_ray.search.engine import phrase_intersect
-
-        plists, terms = self._positional_plists(phrase)
-        if plists is None:
-            return np.empty(0, np.int64), np.empty(0, np.int64)
-        return phrase_intersect(terms, plists)
-
-    def search_phrase(self, phrase: str, k: int = 10) -> list[tuple[int, int]]:
-        """Distributed exact-phrase top-k — bit-equal to the local
-        :meth:`Searcher.search_phrase` (same intersection math over the same
-        masked positional postings)."""
-        from nmr_fair_dos_ray.search.engine import topk_counts
-
-        docs_m, counts = self._phrase_match(phrase)
-        return topk_counts(docs_m, counts, k)
-
-    def _near_match(
-        self, phrase: str, slop: int, ordered: bool = True
-    ) -> tuple[np.ndarray, np.ndarray]:
-        from nmr_fair_dos_ray.search.engine import (
-            near_intersect, near_intersect_unordered,
-        )
-
-        plists, terms = self._positional_plists(phrase)
-        if plists is None:
-            return np.empty(0, np.int64), np.empty(0, np.int64)
-        if ordered:
-            return near_intersect(terms, plists, slop)
-        return near_intersect_unordered(terms, plists, slop)
-
-    def search_near(
-        self, phrase: str, k: int = 10, slop: int = 0, ordered: bool = True
-    ) -> list[tuple[int, int]]:
-        """Distributed proximity top-k — bit-equal to the local
-        :meth:`Searcher.search_near`: same two-round candidate resolution
-        as phrase (doc sets, then candidate-scoped positional RPCs), same
-        position kernels (`near_intersect` / `near_intersect_unordered`
-        for ``ordered=False``)."""
-        from nmr_fair_dos_ray.search.engine import topk_counts
-
-        docs_m, counts = self._near_match(phrase, slop, ordered)
-        return topk_counts(docs_m, counts, k)
-
-    def search_query(
-        self, query: str, k: int = 10, max_expansions: int | None = None,
-        max_edits: int = 1,
-    ) -> list[tuple[int, float]]:
-        """Distributed query-string search — the same grammar and rewrite
-        rules as :meth:`Searcher.search_query` (shared `parse_query_string`),
-        resolved with the pool's primitives: owned-term postings for
-        constraints, per-shard dictionary expansion, positional RPCs for
-        phrases, scatter-gather scoring in sorted term order. Bit-equal to
-        the local engine."""
-        from nmr_fair_dos_ray.search.engine import (
-            _postings_union,
-            parse_query_string,
-        )
-
-        score_set: set[str] = set()
-        musts: list[np.ndarray] = []
-        nots: list[np.ndarray] = []
-        exact: list[str] = []
-        for neg, kind, body in parse_query_string(query):
-            if kind == "phrase":
-                text, _, slop_s = body.partition("\x00")
-                docs, _ = (
-                    self._phrase_match(text) if not slop_s
-                    else self._near_match(text, int(slop_s))
-                )
-                (nots if neg == "-" else musts).append(docs)
-                if neg != "-":
-                    score_set.update(self.tokenizer.tokenize(text))
-            elif kind == "field":
-                if neg == "-":
-                    nots.append(self._docs_of(body))
-                else:
-                    exact.append(body)
-            elif kind in ("fuzzy", "prefix"):
-                if kind == "fuzzy":
-                    text, _, edits = body.partition("\x00")
-                    e = min(max(int(edits or max_edits), 1), 2)
-                    futs = [
-                        a.expand_fuzzy.remote(t, e)
-                        for t in self.tokenizer.tokenize(text)
-                        for a in self.actors
-                    ]
-                    exp: set[str] = set()
-                    for lst in ray.get(futs):
-                        exp.update(lst)
-                else:
-                    exp = set(self._expand_prefix_global(body, max_expansions))
-                if neg == "-":
-                    nots.append(_postings_union(self._docs_of, sorted(exp)))
-                else:
-                    score_set.update(exp)
-                    if neg == "+":
-                        musts.append(_postings_union(self._docs_of, sorted(exp)))
-            elif neg == "-":
-                for t in self.tokenizer.tokenize(body):
-                    nots.append(self._docs_of(t))
-            else:
-                toks = self.tokenizer.tokenize(body)
-                score_set.update(toks)
-                if neg == "+":
-                    for t in toks:
-                        musts.append(self._docs_of(t))
-        allowed: np.ndarray | None = None
-        for t in exact:
-            docs = self._docs_of(t)
-            allowed = docs if allowed is None else sorted_intersect(allowed, docs)
-        for docs in musts:
-            allowed = docs if allowed is None else sorted_intersect(allowed, docs)
-            if allowed.size == 0:
-                return []
-        forbidden = np.unique(np.concatenate(nots)) if nots else None
-        return self._score_list(sorted(score_set), k, allowed, forbidden)
-
-    def search_prefix(
-        self, prefix: str, k: int = 10, max_expansions: int | None = None
-    ) -> list[tuple[int, float]]:
-        """Distributed prefix query: every slot expands over its ~1/P of the
-        term dictionary in parallel; the union is the global expansion (each
-        slot's top-N by df is a superset contributor to the global top-N, so
-        a router-side re-cap by (df desc, term asc) is exact). Results are
-        bit-equal to the local :meth:`Searcher.search_prefix`."""
-        return self._score_list(
-            self._expand_prefix_global(prefix.strip().lower(), max_expansions), k
-        )
-
-    def search_regex(
-        self, pattern: str, k: int = 10, max_expansions: int | None = None
-    ) -> list[tuple[int, float]]:
-        """Distributed regex query — every slot scans its ~1/P of the term
-        dictionary with the anchored pattern in parallel (same shape as
-        prefix: per-slot top-N by df is a superset contributor, router
-        re-caps exactly). Bit-equal to the local
-        :meth:`Searcher.search_regex`."""
-        futs = [a.expand_regex.remote(pattern, max_expansions)
-                for a in self.actors]
-        terms = sorted(set().union(*[set(x) for x in ray.get(futs)]))
-        if max_expansions is not None and len(terms) > max_expansions:
-            meta = self._term_meta(terms)
-            top = sorted(terms, key=lambda t: (-meta[t][0], t))[:max_expansions]
-            terms = sorted(top)
-        return self._score_list(terms, k)
-
-    def search_wildcard(
-        self, pattern: str, k: int = 10, max_expansions: int | None = None
-    ) -> list[tuple[int, float]]:
-        """Distributed wildcard query — the ES ``wildcard`` analog, rewritten
-        onto :meth:`search_regex` (bit-equal to local)."""
-        from nmr_fair_dos_ray.search.engine import wildcard_to_regex
-
-        return self.search_regex(wildcard_to_regex(pattern), k, max_expansions)
-
-    def _expand_prefix_global(
-        self, prefix: str, max_expansions: int | None
-    ) -> list[str]:
-        futs = [a.expand_prefix.remote(prefix, max_expansions) for a in self.actors]
-        terms = sorted(set().union(*[set(x) for x in ray.get(futs)]))
-        if max_expansions is not None and len(terms) > max_expansions:
-            meta = self._term_meta(terms)
-            top = sorted(terms, key=lambda t: (-meta[t][0], t))[:max_expansions]
-            terms = sorted(top)
-        return terms
-
-    def search_and(self, query: str, k: int = 10) -> list[tuple[int, float]]:
-        """Distributed conjunctive BM25 (ES ``bool.must``) — bit-equal to
-        the local :meth:`Searcher.search_and`: round 1 fetches each term's
-        doc set (small payloads) and intersects on the router; round 2
-        scores the terms scatter-gather with the intersection as the
-        ``allowed`` mask. Per-doc term scores are elementwise, so masking
-        after scoring is bit-identical to scoring the intersection."""
-        terms, exact = self.tokenizer.tokenize_query(query)
-        docs_of = self._docs_of_many(exact + terms)  # one RPC wave
-        allowed: np.ndarray | None = None
-        for t in exact:
-            docs = docs_of[t]
-            allowed = docs if allowed is None else sorted_intersect(allowed, docs)
-        if not terms:
-            if allowed is None:
-                return []
-            return [(int(d), 0.0) for d in np.sort(allowed)[:k]]
-        for t in terms:  # sorted unique (tokenize_query contract)
-            docs = docs_of[t]
-            if docs.size == 0:
-                return []
-            allowed = docs if allowed is None else sorted_intersect(allowed, docs)
-            if allowed.size == 0:
-                return []
-        return self._score_list(terms, k, allowed)
-
-    def facet_counts(self, query: str, facet_field: str) -> list[tuple[str, int]]:
-        """Distributed terms-aggregation — bit-equal to the local
-        :meth:`Searcher.facet_counts`. The router resolves the match set
-        (union of ranked-term postings ∩ exact filters), ships it ONCE via
-        ``ray.put``, and every slot counts its OWN ``field:*`` dictionary
-        slice against the zero-copy match set in parallel; the dictionary
-        is term-partitioned so the merged table has no duplicates."""
-        terms, exact = self.tokenizer.tokenize_query(query)
-        docs_of = self._docs_of_many(terms + exact)  # one RPC wave
-        matches: np.ndarray | None = None
-        if terms:
-            parts = [p for t in terms if (p := docs_of[t]).size]
-            if not parts:
-                return []
-            matches = np.unique(np.concatenate(parts))
-        for t in exact:
-            docs = docs_of[t]
-            matches = docs if matches is None else sorted_intersect(matches, docs)
-        if matches is None or matches.size == 0:
-            return []
-        ref = ray.put(matches)
-        futs = [a.facet_counts.remote(facet_field + ":", ref) for a in self.actors]
-        out = [pair for lst in ray.get(futs) for pair in lst]
-        out.sort(key=lambda v: v[0])
-        return out
-
-    def score_map(self, query: str) -> tuple[np.ndarray, np.ndarray]:
-        """Full (doc_ids, scores) match map of a disjunctive query — the
-        sharded analog of ``Searcher._score_map``, used by the multi-field
-        ``best_fields`` merge. Exact filters apply as an allowed mask."""
-        terms, exact = self.tokenizer.tokenize_query(query)
-        allowed: np.ndarray | None = None
-        for t in exact:
-            docs = self._docs_of(t)
-            allowed = docs if allowed is None else sorted_intersect(allowed, docs)
-        empty = (np.empty(0, np.int64), np.empty(0, np.float64))
-        if not terms:
-            return empty
-        by_actor: dict[int, list[str]] = defaultdict(list)
-        for t in terms:
-            by_actor[self._route(t)].append(t)
-        gathered: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        futures = {
-            slot: self.actors[slot].score_terms.remote(ts)
-            for slot, ts in by_actor.items()
-        }
-        for slot, fut in futures.items():
-            gathered.update(ray.get(fut))
-        parts = [gathered[t] for t in terms if t in gathered and gathered[t][0].size]
-        if not parts:
-            return empty
-        uniq = np.unique(np.concatenate([d for d, _ in parts]))
-        acc = np.zeros(uniq.size, np.float64)
-        for docs, scores in parts:  # sorted term order ⇒ bit-equal to TAAT
-            acc[np.searchsorted(uniq, docs)] += scores
-        if allowed is not None:
-            m = np.isin(uniq, allowed)
-            uniq, acc = uniq[m], acc[m]
-        return uniq, acc
-
-    def search_fuzzy(
-        self, query: str, k: int = 10, max_edits: int = 1
-    ) -> list[tuple[int, float]]:
-        """Distributed fuzzy query: each slot runs SymSpell expansion over
-        its own dictionary shard (deletion index builds once per actor);
-        the union of expansions scores as one disjunction — bit-equal to the
-        local :meth:`Searcher.search_fuzzy`."""
-        base, exact = self.tokenizer.tokenize_query(query)
-        docs_of = self._docs_of_many(exact) if exact else {}
-        allowed: np.ndarray | None = None
-        for t in exact:
-            docs = docs_of[t]
-            allowed = docs if allowed is None else sorted_intersect(allowed, docs)
-        futs = [
-            a.expand_fuzzy.remote(t, max_edits)
-            for t in base for a in self.actors
-        ]
-        expanded: set[str] = set()
-        for lst in ray.get(futs):
-            expanded.update(lst)
-        return self._score_list(sorted(expanded), k, allowed)
-
-    @staticmethod
-    def _merge(terms, gathered, allowed, k,
-               forbidden: np.ndarray | None = None,
-               after: tuple[float, int] | None = None) -> list[tuple[int, float]]:
-        parts = [gathered[t] for t in terms if t in gathered and gathered[t][0].size]
-        if not parts:
-            return []
-        uniq = np.unique(np.concatenate([d for d, _ in parts]))
-        acc = np.zeros(uniq.size, np.float64)
-        for docs, scores in parts:  # sorted term order ⇒ bit-equal to TAAT
-            acc[np.searchsorted(uniq, docs)] += scores
-        if allowed is not None:
-            m = np.isin(uniq, allowed)
-            uniq, acc = uniq[m], acc[m]
-        if forbidden is not None and forbidden.size and uniq.size:
-            m = ~np.isin(uniq, forbidden)
-            uniq, acc = uniq[m], acc[m]
-        if after is not None and uniq.size:
-            a_s, a_d = float(after[0]), int(after[1])
-            # strictly after the cursor in (score desc, doc asc) order —
-            # same filter as the local TAAT path (scores are bit-equal)
-            m = (acc < a_s) | ((acc == a_s) & (uniq > a_d))
-            uniq, acc = uniq[m], acc[m]
-        if uniq.size == 0:
-            return []
-        order = np.lexsort((uniq, -acc))[: min(k, uniq.size)]
-        return [(int(uniq[i]), float(acc[i])) for i in order]
-
-    def shutdown(self) -> None:
-        for a in self.actors:
-            ray.kill(a)
-        self.actors = []
-
-
-def best_fields_search_sharded(
-    pools: list["ShardedSearcher"], query: str, k: int = 10,
-    tie_breaker: float = 0.0,
-) -> list[tuple[int, float]]:
-    """Distributed ``multi_match best_fields``: one :class:`ShardedSearcher`
-    pool per scored field (each field its own index, postings and length
-    norms), merged by per-doc dis-max — bit-equal to the local
-    :func:`engine.best_fields_search` over the same field indexes (both
-    sides produce identical per-field match maps)."""
-    from nmr_fair_dos_ray.search.engine import dismax_merge
-
-    return dismax_merge([p.score_map(query) for p in pools], k, tie_breaker)
-
-
-# --------------------------------------------------------------------------
-# Doc-partitioned serving (the ES/Lucene shard model)
-# --------------------------------------------------------------------------
 
 @ray.remote
 class DocShardActor:
     """Owns ONE doc range [lo, hi) of the index — ALL terms, only the
-    posting blocks intersecting its range (``IndexReader.build_state(
-    doc_range=...)``), its slice of the doclen table and tombstones. Every
-    query runs COMPLETELY locally (TAAT/BMW/phrase/fuzzy/...), so the
-    router's merge payload is bounded by pool×k, never by match-set size —
-    the fix for the term-sharded router's match-map materialization
-    (VERDICT round-4 item 1), and the shard layout the reference's
-    Elasticsearch backend actually runs on
-    (/root/reference/src/nmr_FAIR_DOs/connectors/elasticsearch.py:234-313).
-    """
+    posting blocks intersecting its range, its slice of the doclen table and
+    tombstones — plus the same range of any extra per-field indexes, so
+    ``best_fields`` dis-maxes locally too."""
 
     def __init__(self, index_dir: str, lo: int, hi: int, pool_size: int = 1,
                  field_dirs: list[str] | None = None):
@@ -811,50 +62,11 @@ class DocShardActor:
                 st, cache_budget_bytes=budget
             ))
 
-        self.s = _load(index_dir)
-        # extra per-field indexes over the SAME doc_id space, each sliced to
-        # the same range — the multi_match best_fields surface stays local
-        # to the shard (dis-max per doc, then an O(pool×k) router merge)
-        self.fields = [self.s] + [_load(d) for d in (field_dirs or [])]
+        # fields[0] is the main index; the rest share its doc_id space
+        self.fields = [_load(d) for d in [index_dir, *(field_dirs or [])]]
 
-    def search(self, query: str, k: int, algorithm: str):
-        return self.s.search(query, k=k, algorithm=algorithm)
-
-    def search_after(self, query: str, k: int, after):
-        return self.s.search_after(query, k=k, after=after)
-
-    def search_and(self, query: str, k: int):
-        return self.s.search_and(query, k=k)
-
-    def search_phrase(self, phrase: str, k: int):
-        return self.s.search_phrase(phrase, k=k)
-
-    def search_near(self, phrase: str, k: int, slop: int, ordered: bool):
-        return self.s.search_near(phrase, k=k, slop=slop, ordered=ordered)
-
-    def search_prefix(self, query: str, k: int):
-        return self.s.search_prefix(query, k=k)
-
-    def search_regex(self, pattern: str, k: int):
-        return self.s.search_regex(pattern, k=k)
-
-    def search_fuzzy(self, query: str, k: int, max_edits: int):
-        return self.s.search_fuzzy(query, k=k, max_edits=max_edits)
-
-    def search_query(self, query: str, k: int, max_edits: int):
-        return self.s.search_query(query, k=k, max_edits=max_edits)
-
-    def count(self, query: str) -> int:
-        return self.s.count(query)
-
-    def facet_counts(self, query: str, facet_field: str):
-        return self.s.facet_counts(query, facet_field)
-
-    def best_fields(self, query: str, k: int, tie_breaker: float):
-        from nmr_fair_dos_ray.search.engine import best_fields_search
-
-        return best_fields_search(self.fields, query, k=k,
-                                  tie_breaker=tie_breaker)
+    def run(self, mode: str, query: str, k: int, params: dict):
+        return run_query(self.fields, mode, query, k, **params)
 
 
 def _merge_ranked(parts, k: int):
@@ -870,29 +82,15 @@ def _merge_ranked(parts, k: int):
 class DocShardedSearcher:
     """Doc-partitioned scatter-gather serving pool.
 
-    Splits the doc_id space into ``pool_size`` contiguous ranges balanced
-    by doc COUNT (quantiles of the doc store's sorted ids), one
-    :class:`DocShardActor` per range. Each query fans out once; every actor
-    returns its complete local top-k; the router merges pool×k rows.
-    Results are bit-equal to the local :class:`Searcher` for every query
-    mode (tests assert it at pool sizes 2/4/8): scores use corpus-global
-    stats, doc ranges partition the corpus, and the merge comparator is the
-    engine's own tie-break.
-
-    vs :class:`ShardedSearcher` (term-sharded): doc partitioning bounds the
-    router payload by k instead of match-set size and keeps multi-term
-    queries single-round, at the cost of fanning every query to every shard
-    (a term shard answers single-term queries from 1/pool of the index).
-    This is the layout to scale QUERY throughput and doc count; term
-    sharding remains the layout that minimizes per-query work for sparse
-    vocabularies. Both hold ~1/pool of the postings per actor."""
+    One :class:`DocShardActor` per doc range (quantiles of the doc store's
+    sorted ids). :meth:`run` fans a request out once — one remote call per
+    actor — and merges by result kind; the per-mode methods mirror the
+    local :class:`Searcher` API and accept the same keyword parameters.
+    ``field_dirs`` adds same-doc-space field indexes for ``best_fields``."""
 
     def __init__(self, index_dir: str, pool_size: int = 4,
                  field_dirs: list[str] | None = None):
-        ids, _lens, manifest = _doclen_state(index_dir)
-        cfg = manifest["config"]
-        self.tokenizer = Tokenizer(cfg["tokenizer_mode"])
-        self._has_positions = bool(cfg.get("store_positions", False))
+        ids = _sorted_doc_ids(index_dir)
         n = ids.size
         if n == 0:
             raise ValueError(
@@ -911,96 +109,57 @@ class DocShardedSearcher:
             for lo, hi in self.ranges
         ]
 
-    def _require_positions(self) -> None:
-        if not self._has_positions:
-            raise ValueError(
-                "index was built without store_positions=True; phrase "
-                "search needs positional postings"
-            )
+    def run(self, mode: str, query: str, k: int = 10, **params):
+        """Serve one request of any :func:`engine.run_query` mode."""
+        parts = ray.get([a.run.remote(mode, query, k, params) for a in self.actors])
+        if mode == "count":
+            return int(sum(parts))
+        if mode == "facet_counts":
+            acc: Counter = Counter()
+            for part in parts:
+                for v, n in part:
+                    acc[v] += n
+            return sorted(acc.items())
+        return _merge_ranked(parts, k)
 
-    def search(self, query: str, k: int = 10, algorithm: str = "bmw"):
-        return _merge_ranked(
-            ray.get([a.search.remote(query, k, algorithm) for a in self.actors]), k
-        )
+    def search(self, query: str, k: int = 10, **params):
+        return self.run("bm25", query, k, **params)
 
-    def search_after(self, query: str, k: int = 10, after=None):
-        return _merge_ranked(
-            ray.get([a.search_after.remote(query, k, after) for a in self.actors]), k
-        )
+    def search_after(self, query: str, k: int = 10, **params):
+        return self.run("after", query, k, **params)
 
     def search_and(self, query: str, k: int = 10):
-        return _merge_ranked(
-            ray.get([a.search_and.remote(query, k) for a in self.actors]), k
-        )
+        return self.run("and", query, k)
 
     def search_phrase(self, phrase: str, k: int = 10):
-        self._require_positions()
-        return _merge_ranked(
-            ray.get([a.search_phrase.remote(phrase, k) for a in self.actors]), k
-        )
+        return self.run("phrase", phrase, k)
 
-    def search_near(self, phrase: str, k: int = 10, slop: int = 0,
-                    ordered: bool = True):
-        self._require_positions()
-        return _merge_ranked(
-            ray.get([a.search_near.remote(phrase, k, slop, ordered)
-                     for a in self.actors]), k
-        )
+    def search_near(self, phrase: str, k: int = 10, **params):
+        return self.run("near", phrase, k, **params)
 
-    def search_prefix(self, query: str, k: int = 10):
-        return _merge_ranked(
-            ray.get([a.search_prefix.remote(query, k) for a in self.actors]), k
-        )
+    def search_prefix(self, query: str, k: int = 10, **params):
+        return self.run("prefix", query, k, **params)
 
-    def search_regex(self, pattern: str, k: int = 10):
-        return _merge_ranked(
-            ray.get([a.search_regex.remote(pattern, k) for a in self.actors]), k
-        )
+    def search_regex(self, pattern: str, k: int = 10, **params):
+        return self.run("regex", pattern, k, **params)
 
-    def search_wildcard(self, pattern: str, k: int = 10):
-        """Distributed wildcard query (ES ``wildcard`` analog) — rewritten
-        onto :meth:`search_regex`, bit-equal to the local Searcher."""
-        from nmr_fair_dos_ray.search.engine import wildcard_to_regex
+    def search_wildcard(self, pattern: str, k: int = 10, **params):
+        return self.run("wildcard", pattern, k, **params)
 
-        return self.search_regex(wildcard_to_regex(pattern), k)
+    def search_fuzzy(self, query: str, k: int = 10, **params):
+        return self.run("fuzzy", query, k, **params)
 
-    def search_fuzzy(self, query: str, k: int = 10, max_edits: int = 1):
-        return _merge_ranked(
-            ray.get([a.search_fuzzy.remote(query, k, max_edits)
-                     for a in self.actors]), k
-        )
+    def search_query(self, query: str, k: int = 10, **params):
+        return self.run("query", query, k, **params)
 
-    def search_query(self, query: str, k: int = 10, max_edits: int = 1):
-        return _merge_ranked(
-            ray.get([a.search_query.remote(query, k, max_edits)
-                     for a in self.actors]), k
-        )
-
-    def best_fields(self, query: str, k: int = 10, tie_breaker: float = 0.0):
-        """Distributed ``multi_match best_fields`` over the range pool: each
-        actor dis-maxes its range's per-field scores locally (requires
-        ``field_dirs`` at pool construction — extra same-doc-space field
-        indexes), so the merge stays O(pool×k) — unlike the term-sharded
-        ``best_fields_search_sharded``, whose per-field score_map payloads
-        are match-set-sized."""
-        return _merge_ranked(
-            ray.get([a.best_fields.remote(query, k, tie_breaker)
-                     for a in self.actors]), k
-        )
+    def best_fields(self, query: str, k: int = 10, **params):
+        return self.run("best_fields", query, k, **params)
 
     def count(self, query: str) -> int:
-        return int(sum(ray.get([a.count.remote(query) for a in self.actors])))
+        return self.run("count", query)
 
     def facet_counts(self, query: str, facet_field: str):
-        from collections import Counter
-
-        acc: Counter = Counter()
-        for part in ray.get(
-            [a.facet_counts.remote(query, facet_field) for a in self.actors]
-        ):
-            for v, n in part:
-                acc[v] += n
-        return sorted(acc.items())
+        return self.run("facet_counts", query, facet_field=facet_field)
 
     def shutdown(self) -> None:
         for a in self.actors:

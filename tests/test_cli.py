@@ -81,18 +81,27 @@ def test_search_modes_match_library(cli_index, capsys):
 
 
 def test_pooled_serving_bit_equal_both_layouts(cli_index, capsys):
-    """Every pool-served mode must match local serving exactly — doc AND
-    term sharding (wildcard was the last mode to gain pool routing)."""
+    """Every pool-served mode must match local serving exactly (wildcard was
+    the last mode to gain pool routing); the doc-partitioned pool is the one
+    layout, and pooled parameters such as --algorithm pass through."""
     for mode, q in (("bm25", "getUserName merge"), ("wildcard", "get*"),
                     ("regex", "get.*"), ("query", "merge user*")):
         local = _run(capsys, "search", "--index", cli_index,
                      "--query", q, "--mode", mode, "-k", "5")
-        for sharding in ("doc", "term"):
-            pooled = _run(capsys, "search", "--index", cli_index,
-                          "--query", q, "--mode", mode, "-k", "5",
-                          "--pool", "2", "--sharding", sharding)
-            assert pooled["hits"] == local["hits"], (mode, sharding)
-            assert pooled["pool"] == 2 and pooled["sharding"] == sharding
+        pooled = _run(capsys, "search", "--index", cli_index,
+                      "--query", q, "--mode", mode, "-k", "5", "--pool", "2")
+        assert pooled["hits"] == local["hits"], mode
+        assert pooled["pool"] == 2 and pooled["sharding"] == "doc"
+    local = _run(capsys, "search", "--index", cli_index, "--query",
+                 "getUserName merge", "-k", "5", "--algorithm", "taat")
+    pooled = _run(capsys, "search", "--index", cli_index, "--query",
+                  "getUserName merge", "-k", "5", "--algorithm", "taat",
+                  "--pool", "2")
+    assert pooled["hits"] == local["hits"]
+    with pytest.raises(SystemExit) as exc:  # argparse: unknown option
+        main(["search", "--index", cli_index, "--query", "merge",
+              "--pool", "2", "--sharding", "term"])
+    assert exc.value.code == 2
 
 
 def test_fetch_attaches_stored_columns(cli_index, capsys):

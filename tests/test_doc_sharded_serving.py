@@ -43,7 +43,9 @@ def test_all_modes_identical_to_local(doc_sharded):
     for p, pool in pools.items():
         for q in queries:
             assert pool.search(q, k=10) == local.search(q, k=10), (p, q)
-        for q in queries[:6]:
+        # exact filter + misses too: code mode splits "zzqxnope9" into
+        # ("zzqxnope", "9") and "9" can match, so compare against local
+        for q in queries[:6] + [f"config {lang_term}", "zzqxnope", "zzqxnope9"]:
             assert pool.search_and(q, k=10) == local.search_and(q, k=10), (p, q)
             assert pool.count(q) == local.count(q), (p, q)
             assert pool.facet_counts(q, "lang") == \
@@ -85,6 +87,11 @@ def test_search_after_pages_identical(doc_sharded):
             if not want:
                 break
             cursor = (want[-1][1], want[-1][0])
+    # pages partition the full ranking: page1 + page2 == top-2k, disjoint
+    q = queries[0]
+    p1 = pool.search_after(q, k=7)
+    p2 = pool.search_after(q, k=7, after=(p1[-1][1], p1[-1][0]))
+    assert p1 + p2 == local.search(q, k=14, algorithm="taat")
 
 
 def test_doc_ranges_partition_the_corpus(doc_sharded):
@@ -104,7 +111,8 @@ def test_doc_ranges_partition_the_corpus(doc_sharded):
     assert lo0 == int(r._doc_ids_sorted[0])
     assert hi_last == int(r._doc_ids_sorted[-1]) + 1
     # per-actor result containment on a match-everything-ish query
-    futs = [a.search.remote("def return config user", 10_000, "taat")
+    futs = [a.run.remote("bm25", "def return config user", 10_000,
+                         {"algorithm": "taat"})
             for a in pool.actors]
     for (lo, hi), hits in zip(pool.ranges, ray.get(futs)):
         assert all(lo <= d < hi for d, _ in hits), (lo, hi)

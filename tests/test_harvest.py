@@ -97,3 +97,17 @@ def test_same_window_different_sources_both_harvest(tmp_path, ray_session):
     assert len(rc) and len(rn)
     assert set(rc[rc.kind == "entry"].repo) == {"chemotion"}
     assert set(rn[rn.kind == "entry"].repo) == {"nmrxiv"}
+
+
+def test_backfill_window_keeps_watermark(tmp_path, ray_session):
+    """A historical backfill harvested after a newer window must not move
+    the watermark backwards (the next default window would re-harvest)."""
+    out, state = str(tmp_path / "h4"), str(tmp_path / "s4")
+    late = EPOCH + timedelta(minutes=7 * 200)
+    harvest_window(SF, out, state, start=EPOCH + timedelta(minutes=7 * 100),
+                   end=late)
+    assert read_watermark(state) == late
+    back = harvest_window(SF, out, state, start=EPOCH,
+                          end=EPOCH + timedelta(minutes=7 * 50))
+    assert back["n_rows"] > 0 and "skipped" not in back
+    assert read_watermark(state) == late

@@ -87,3 +87,57 @@ def test_mid_order_insert_degrades_to_full_rebuild(corpus_dirs):
     assert set(rm.terms) == set(rf.terms)
     for q in ("def return config", "getUserName merge"):
         assert Searcher(rm).search(q, k=10) == Searcher(rf).search(q, k=10)
+
+
+def _snapshot(d):
+    return {
+        os.path.relpath(os.path.join(root, f), d):
+            (os.path.getmtime(os.path.join(root, f)),
+             os.path.getsize(os.path.join(root, f)))
+        for root, _, files in os.walk(d) for f in files
+    }
+
+
+@pytest.mark.parametrize("legacy_log", [False, True])
+def test_append_on_copied_index(corpus_dirs, legacy_log):
+    """Append on a COPY of a 90 % index: the copy must resume from its own
+    run/docs files and match a fresh 100 % build, and the original index
+    must stay untouched — also for partition logs written with absolute
+    paths by older builds (regression: the copy's prune kept the original's
+    files, deleted its own, and search raised IndexError)."""
+    from nmr_fair_dos_ray.state.manifest import PartitionLog
+
+    t = corpus_dirs
+    d = f"{BASE}/copy_src_{legacy_log}"
+    shutil.rmtree(d, ignore_errors=True)
+    os.makedirs(d)
+    for i in range(9):
+        pq.write_table(t.slice(30 * i, 30), f"{d}/f{i}.parquet")
+    orig, copy = f"{BASE}/idx_orig_{legacy_log}", f"{BASE}/idx_copy_{legacy_log}"
+    shutil.rmtree(orig, ignore_errors=True)
+    shutil.rmtree(copy, ignore_errors=True)
+    build_index(d, orig, CFG)
+    plog = PartitionLog(orig, "invert")
+    log = plog.read()
+    assert not any(os.path.isabs(p) for p in log["run_path"].to_pylist())
+    if legacy_log:  # the absolute layout older builds logged
+        for col in ("run_path", "docs_path", "df_path"):
+            i = log.column_names.index(col)
+            log = log.set_column(i, col, pa.array(
+                [os.path.abspath(os.path.join(orig, p))
+                 for p in log[col].to_pylist()]))
+        plog.replace(log)
+    before = _snapshot(orig)
+    shutil.copytree(orig, copy)
+
+    pq.write_table(t.slice(270, 30), f"{d}/f9.parquet")
+    build_index(d, copy, CFG, resume=True)
+    assert _snapshot(orig) == before
+
+    fresh = f"{BASE}/idx_fresh_{legacy_log}"
+    shutil.rmtree(fresh, ignore_errors=True)
+    build_index(d, fresh, CFG)
+    sc, sf_ = Searcher(IndexReader(copy)), Searcher(IndexReader(fresh))
+    assert sc.r.n_docs == sf_.r.n_docs == 300
+    for q in ("def return config", "getUserName merge", "data_loader"):
+        assert sc.search(q, k=10) == sf_.search(q, k=10), q

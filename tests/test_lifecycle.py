@@ -177,14 +177,14 @@ def test_tombstone_segments_are_immutable_and_race_safe(idx, monkeypatch):
 
 
 def test_sharded_serving_honors_tombstones(idx):
-    from nmr_fair_dos_ray.search.distributed import ShardedSearcher
+    from nmr_fair_dos_ray.search.distributed import DocShardedSearcher
 
     s0 = Searcher(IndexReader(DIR))
     full = {q: _full_ranking(s0, q) for q in QUERIES}
     victims = [d for d, _ in full[QUERIES[2]][:4]]
     delete_docs(DIR, victims)
     local = Searcher(IndexReader(DIR))
-    pool = ShardedSearcher(DIR, pool_size=2)
+    pool = DocShardedSearcher(DIR, pool_size=2)
     try:
         for q in QUERIES:
             assert pool.search(q, k=10) == local.search(q, k=10), q

@@ -119,12 +119,12 @@ def test_phrase_requires_positions(sf_unit):
     assert r.positions("def") is None
     with pytest.raises(ValueError, match="store_positions"):
         Searcher(r).search_phrase("a b")
-    # the sharded router honors the same contract — a non-positional index
+    # the serving pool honors the same contract — a non-positional index
     # RAISES on phrase/query-string search instead of silently returning
     # empty results (ADVICE r3: the old behavior broke the bit-equal claim)
-    from nmr_fair_dos_ray.search.distributed import ShardedSearcher
+    from nmr_fair_dos_ray.search.distributed import DocShardedSearcher
 
-    pool = ShardedSearcher(d, pool_size=2)
+    pool = DocShardedSearcher(d, pool_size=2)
     try:
         with pytest.raises(ValueError, match="store_positions"):
             pool.search_phrase("a b")
@@ -253,11 +253,11 @@ def test_near_intersect_nongreedy_counterexample():
 
 
 def test_sharded_near_matches_local(pos_index):
-    from nmr_fair_dos_ray.search.distributed import ShardedSearcher
+    from nmr_fair_dos_ray.search.distributed import DocShardedSearcher
 
     r, _, fx = pos_index
     s = Searcher(r)
-    pool = ShardedSearcher(DIR_POS, pool_size=2)
+    pool = DocShardedSearcher(DIR_POS, pool_size=2)
     try:
         for phrase in PHRASES:
             for slop in (0, 2):
@@ -345,11 +345,11 @@ def test_near_unordered_kernel_reversed_terms():
 
 
 def test_sharded_near_unordered_matches_local(pos_index):
-    from nmr_fair_dos_ray.search.distributed import ShardedSearcher
+    from nmr_fair_dos_ray.search.distributed import DocShardedSearcher
 
     r, _, fx = pos_index
     s = Searcher(r)
-    pool = ShardedSearcher(DIR_POS, pool_size=2)
+    pool = DocShardedSearcher(DIR_POS, pool_size=2)
     try:
         for phrase in PHRASES:
             for slop in (0, 2):

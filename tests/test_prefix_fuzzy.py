@@ -111,10 +111,10 @@ def test_fuzzy_search_equals_explicit_disjunction(idx):
 
 
 def test_sharded_prefix_fuzzy_match_local(idx):
-    from nmr_fair_dos_ray.search.distributed import ShardedSearcher
+    from nmr_fair_dos_ray.search.distributed import DocShardedSearcher
 
     s = Searcher(idx)
-    pool = ShardedSearcher(DIR, pool_size=2)
+    pool = DocShardedSearcher(DIR, pool_size=2)
     try:
         for p in ("ge", "user", "va"):
             assert pool.search_prefix(p, k=10) == s.search_prefix(p, k=10), p
@@ -194,10 +194,10 @@ def test_regex_search_equals_explicit_disjunction(idx):
 
 
 def test_sharded_regex_matches_local(idx):
-    from nmr_fair_dos_ray.search.distributed import ShardedSearcher
+    from nmr_fair_dos_ray.search.distributed import DocShardedSearcher
 
     s = Searcher(idx)
-    pool = ShardedSearcher(DIR, pool_size=2)
+    pool = DocShardedSearcher(DIR, pool_size=2)
     try:
         for pat in ("conf.*", "(get|set)[a-z]*", "[a-z]{4,}", "zzqx.*"):
             for cap in (None, 5):
@@ -220,10 +220,10 @@ def test_wildcard_rewrites_onto_regex(idx):
 
 
 def test_sharded_wildcard_matches_local(idx):
-    from nmr_fair_dos_ray.search.distributed import ShardedSearcher
+    from nmr_fair_dos_ray.search.distributed import DocShardedSearcher
 
     s = Searcher(idx)
-    pool = ShardedSearcher(DIR, pool_size=2)
+    pool = DocShardedSearcher(DIR, pool_size=2)
     try:
         for pat in ("conf*", "?et*", "g*t", "zzqx*"):
             assert pool.search_wildcard(pat, k=10) == \

@@ -154,9 +154,9 @@ def test_constraint_only_and_empty(s):
 
 
 def test_sharded_phrase_and_query_string_match_local(s):
-    from nmr_fair_dos_ray.search.distributed import ShardedSearcher
+    from nmr_fair_dos_ray.search.distributed import DocShardedSearcher
 
-    pool = ShardedSearcher(DIR, pool_size=2)
+    pool = DocShardedSearcher(DIR, pool_size=2)
     try:
         for ph in ("self return", "def config", "zz nope"):
             assert pool.search_phrase(ph, k=10) == s.search_phrase(ph, k=10), ph
