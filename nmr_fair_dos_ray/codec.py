@@ -68,6 +68,25 @@ def varint_encode(values: np.ndarray) -> bytes:
     return out.tobytes()
 
 
+def varint_position_lists(
+    abs_pos: np.ndarray, lens: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Encode position lists: ``lens[i]`` (≥ 1) ascending absolute positions
+    each, concatenated in ``abs_pos``. Each list stores its first position
+    raw, then the gaps, LEB128-packed; lists are self-delimiting given their
+    tf (= length). -> (byte stream, per-list byte counts)."""
+    lens = np.asarray(lens, np.int64)
+    if lens.size == 0:
+        return np.empty(0, np.uint8), np.empty(0, np.int64)
+    starts = np.concatenate([[0], np.cumsum(lens)[:-1]])
+    deltas = np.empty_like(abs_pos)
+    deltas[1:] = abs_pos[1:] - abs_pos[:-1]
+    deltas[starts] = abs_pos[starts]  # list firsts stay absolute
+    data, nb = varint_encode_all(deltas)
+    cs = np.concatenate([[0], np.cumsum(nb)])
+    return data, cs[np.concatenate([starts, [abs_pos.size]])[1:]] - cs[starts]
+
+
 def varint_decode(buf: bytes, n: int | None = None) -> np.ndarray:
     """Decode LEB128 bytes back to uint64 values (vectorized)."""
     b = np.frombuffer(buf, dtype=np.uint8)

@@ -11,7 +11,8 @@ Phase 1 (stateless tasks, one per Parquet row group — the SPIMI "invert" pass)
     vectorized code-aware tokenization → per-(doc, term) tf aggregation →
     write one *posting run* file + one *docs* file per row group (atomic
     rename, write-once ⇒ per-partition checkpoint), return a manifest row.
-    N and avgdl fall out of the manifest rows — no extra pass over the data.
+    Runs are build scratch: the docs files are the doc store the reader
+    loads, and N / avgdl are read from its ``doclen`` column.
 
 Phase 2 (the SPIMI merge — a storage-backed map-side shuffle):
     Phase 1 writes each posting run SORTED BY shard_id with row groups
@@ -29,6 +30,22 @@ Phase 2 (the SPIMI merge — a storage-backed map-side shuffle):
     excluded from the cold shards and merged by ``n_salts`` run-bucket
     tasks over contiguous doc ranges, then concatenated (phase 3).
 
+On disk only the searchable index stays: ``shards/`` (cold shards plus
+``shard_hot.parquet``), ``docs/``, ``manifest.json`` and the invert partition
+log. Once the shards and the hot merge are durable the build is marked
+complete and ``runs/`` and ``hotparts/`` are deleted; a crash before that
+resumes from them. A same-input ``resume=True`` call on a complete index
+rewrites nothing.
+
+Append (files added after the existing ones, ``resume=True``): every live
+shard file is decoded — one Ray task per file, the decode compaction uses —
+into a *base run* in the run format, doclens from the doc store. Once the
+base runs are written and recorded in the manifest the old shards are
+cleared, only the new items are inverted, and the merge reads base + new
+runs; the base runs form one hot bucket ahead of the new ones. The append
+therefore sees exactly what compaction and ``refresh_stats`` left live:
+deleted docs cannot come back.
+
 Scale notes (100 TB / 10^12 rows):
   - the merge stage moves (term, doc_id, tf, doclen) rows — ~20 bytes/posting
     — never `content`;
@@ -42,7 +59,9 @@ Scale notes (100 TB / 10^12 rows):
     ``n_salts`` doc-range buckets (runs are doc-contiguous), merged
     independently, and concatenated — sub-lists stay disjoint and sorted;
   - phase-1 output is partitioned by input row group ⇒ a failed run resumes
-    by skipping finished row groups; phase 2 resumes per shard/bucket.
+    by skipping finished row groups; phase 2 resumes per shard/bucket;
+  - an append re-reads the whole index once (O(index), not O(new docs)):
+    the price of keeping no second copy of the postings on disk.
 """
 
 from __future__ import annotations
@@ -58,7 +77,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
-from nmr_fair_dos_ray.codec import BLOCK_SIZE, encode_group_blocks
+from nmr_fair_dos_ray.codec import BLOCK_SIZE, encode_group_blocks, varint_position_lists
 from nmr_fair_dos_ray.search.bm25 import bm25_idf
 from nmr_fair_dos_ray.sources.parquet_source import corpus_paths, read_work_item, work_items
 from nmr_fair_dos_ray.state.manifest import (
@@ -204,15 +223,7 @@ def _encode_position_lists(pos_list: pa.ChunkedArray | pa.Array) -> pa.Array:
         return pa.array([b""] * n, pa.binary())
     seg = np.repeat(np.arange(n, dtype=np.int64), lens)
     order = np.lexsort((flat, seg))
-    flat = flat[order]
-    starts = np.concatenate([[0], np.cumsum(lens)[:-1]])
-    deltas = np.empty_like(flat)
-    deltas[1:] = flat[1:] - flat[:-1]
-    deltas[starts] = flat[starts]  # segment firsts stay absolute
-    from nmr_fair_dos_ray.codec import varint_encode_all
-
-    data, nb = varint_encode_all(deltas)
-    byte_lens = np.add.reduceat(nb, starts)
+    data, byte_lens = varint_position_lists(flat[order], lens)
     return _bin_from_lengths(byte_lens, data)
 
 
@@ -596,6 +607,149 @@ def build_group_table(
     return pa.table(cols)
 
 
+def _kept_partitions(old: pa.Table | None, items: list[dict]) -> pa.Table | None:
+    """Rows of the invert partition log whose identity (path, row group,
+    slice, docID base, row count) is unchanged under the new work-item list
+    — true for every existing partition when files are only ADDED after
+    them in sort order. None when nothing matches (a file inserted
+    mid-order shifts docID bases: the build degrades to a full rebuild)."""
+    if old is None or not old.num_rows:
+        return None
+    wi = old["work_item_id"].to_numpy(zero_copy_only=False)
+    m = wi < len(items)
+    for log_col, key in (("path", "path"), ("row_group", "row_group"),
+                         ("row_offset", "row_offset"),
+                         ("doc_id_base", "doc_id_base"), ("n_docs", "num_rows")):
+        want = np.array([items[w][key] if ok else None for w, ok in zip(wi, m)],
+                        dtype=object)
+        m = m & (old[log_col].to_numpy(zero_copy_only=False) == want)
+    return old.filter(pa.array(m)) if m.any() else None
+
+
+def _write_base_runs(index_dir: str, keep_tbl: pa.Table, num_shards: int,
+                     df_min_cnt: int) -> dict:
+    """Decode every shard file of a finished index (cold shards and
+    ``shard_hot.parquet``) into a *base run*: the phase-1 run format
+    (shard-sorted, shard-aligned row groups, df sidecar) holding the index's
+    live postings, doclens taken from the kept partitions' doc store.
+    Postings of docs outside that doc store (partitions the new input no
+    longer has) are dropped. One Ray task per shard file, the compaction
+    shape, so the calling process never holds postings. Returns the manifest's
+    ``base`` stage record (paths relative to the index dir)."""
+    import pyarrow.dataset as pads
+    import ray
+    import ray.data as rd
+
+    from nmr_fair_dos_ray.pipelines.lifecycle import _member, decode_shard_table
+
+    t0 = time.time()
+    shards_dir = os.path.join(index_dir, "shards")
+    runs_dir = os.path.join(index_dir, "runs")
+    shard_files = sorted(
+        p for p in os.listdir(shards_dir) if p.endswith(".parquet")
+    ) if os.path.isdir(shards_dir) else []
+    rec: dict = {"status": "done", "runs": [], "dfs": [], "n_postings": 0}
+    if not shard_files:
+        return rec
+    docs = pads.dataset([
+        _part_path(index_dir, "docs_path", p) for p in keep_tbl["docs_path"].to_pylist()
+    ]).to_table(columns=["doc_id", "doclen"])
+    ids = docs["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
+    order = np.argsort(ids, kind="stable")
+    state_ref = ray.put(
+        (ids[order], docs["doclen"].to_numpy(zero_copy_only=False)[order])
+    )
+
+    def decode_file(batch: pa.Table) -> pa.Table:
+        _cap_arrow_threads()
+        ids_sorted, dls_sorted = ray.get(state_ref)
+        rows = []
+        for it in batch.to_pylist():
+            c0 = time.process_time()
+            t = pq.read_table(os.path.join(shards_dir, it["file"]))
+            counts, doc_ids, tfs, positions = decode_shard_table(t)
+            live = _member(doc_ids, ids_sorted)
+            if positions is not None:
+                has_pos, abs_pos = positions
+                abs_pos = abs_pos[np.repeat(live[has_pos], tfs[has_pos])]
+                has_pos = has_pos[live]
+            term_row = np.repeat(np.arange(t.num_rows), counts)[live]
+            doc_ids, tfs = doc_ids[live], tfs[live]
+            th = t["term_hash"].to_numpy(zero_copy_only=False)[term_row]
+            cols = {
+                "shard_id": pa.array(
+                    (th.view(np.uint64) % np.uint64(num_shards)).astype(np.int32)),
+                "term": t["term"].combine_chunks().take(pa.array(term_row)),
+                "term_hash": pa.array(th, pa.int64()),
+                "doc_id": pa.array(doc_ids, pa.int64()),
+                "tf": pa.array(tfs, pa.int32()),
+                "doclen": pa.array(
+                    dls_sorted[np.searchsorted(ids_sorted, doc_ids)], pa.int32()),
+            }
+            if positions is not None:
+                data, pos_b = varint_position_lists(abs_pos, tfs[has_pos])
+                byte_lens = np.zeros(doc_ids.size, np.int64)
+                byte_lens[has_pos] = pos_b
+                cols["pos"] = _bin_from_lengths(byte_lens, data)
+            postings = pa.table(
+                cols, schema=POSTING_SCHEMA if positions is None else POSTING_SCHEMA_POS
+            )
+            postings = postings.take(
+                pc.sort_indices(postings, sort_keys=[("shard_id", "ascending")])
+            )
+            run_name, df_name = (f"{p}_{int(it['i']):05d}.parquet"
+                                 for p in ("base", "basedf"))
+            _atomic_write_run(postings, os.path.join(runs_dir, run_name))
+            u_th, u_cnt = np.unique(th, return_counts=True)
+            keep_hot = u_cnt >= df_min_cnt
+            _atomic_write_parquet(
+                pa.table({"term_hash": pa.array(u_th[keep_hot], pa.int64()),
+                          "cnt": pa.array(u_cnt[keep_hot].astype(np.int64))}),
+                os.path.join(runs_dir, df_name),
+            )
+            rows.append({"run_path": os.path.join("runs", run_name),
+                         "df_path": os.path.join("runs", df_name),
+                         "n_postings": int(doc_ids.size),
+                         "cpu_sec": time.process_time() - c0})
+        return pa.Table.from_pylist(rows)
+
+    res = sorted(
+        rd.from_items([{"i": i, "file": f} for i, f in enumerate(shard_files)])
+        .map_batches(decode_file, batch_size=1, batch_format="pyarrow")
+        .take_all(),
+        key=lambda r: r["run_path"],
+    )
+    rec.update(
+        runs=[r["run_path"] for r in res], dfs=[r["df_path"] for r in res],
+        n_postings=int(sum(r["n_postings"] for r in res)),
+        wall_sec=time.time() - t0,
+        task_cpu_sum=round(sum(r["cpu_sec"] for r in res), 3),
+    )
+    return rec
+
+
+def _doc_store_stats(paths: list[str]) -> dict:
+    """n_docs / sum_doclen / avgdl / doc-id range over the given doc-store
+    files — after compaction the doc store holds only live docs, so these
+    are the stats of what the index can still return."""
+    import pyarrow.dataset as pads
+
+    if not paths:
+        return {"n_docs": 0, "sum_doclen": 0, "avgdl": 0.0, "doc_min": 0,
+                "doc_max": -1}
+    t = pads.dataset(paths).to_table(columns=["doc_id", "doclen"])
+    n_docs = t.num_rows
+    sum_doclen = int(pc.sum(t["doclen"]).as_py() or 0)
+    mm = pc.min_max(t["doc_id"]).as_py()
+    return {
+        "n_docs": n_docs,
+        "sum_doclen": sum_doclen,
+        "avgdl": (sum_doclen / n_docs) if n_docs else 0.0,
+        "doc_min": int(mm["min"]) if n_docs else 0,
+        "doc_max": int(mm["max"]) if n_docs else -1,
+    }
+
+
 def build_index(
     source: str | list[str],
     index_dir: str,
@@ -608,7 +762,10 @@ def build_index(
 
     ``resume=True`` skips row groups whose phase-1 outputs exist and shards
     whose phase-2 outputs exist, provided the input fingerprint and config
-    match (otherwise the build restarts clean).
+    match (otherwise the build restarts clean). On a finished index with the
+    same input and config it rewrites nothing. When files were added after
+    the existing ones, it appends: the kept partitions' postings are
+    re-derived from the live shard files (see the module docstring).
     """
     import ray.data as rd
 
@@ -627,7 +784,9 @@ def build_index(
     runs_dir = os.path.join(index_dir, "runs")
     docs_dir = os.path.join(index_dir, "docs")
     shards_dir = os.path.join(index_dir, "shards")
+    hotparts_dir = os.path.join(index_dir, "hotparts")
     man = Manifest(index_dir)
+    plog = PartitionLog(index_dir, "invert")
 
     cfg_json = json.dumps(cfg.to_dict(), sort_keys=True)
     cfg_changed = (
@@ -635,94 +794,11 @@ def build_index(
         and json.dumps(man.data["config"], sort_keys=True) != cfg_json
     )
     fp_changed = man.data.get("input_fingerprint") not in (None, fp)
-    if not resume or cfg_changed:
-        man.data = {"config": cfg.to_dict(), "stages": {}, "stats": {}}
-        _clear_dir(shards_dir)
-        _clear_dir(os.path.join(index_dir, "hotparts"))
-        # runs/ and docs/ too: IndexReader scans the docs/ DIRECTORY, so a
-        # rebuild onto a smaller corpus must not leave stale docs_NNNNNN
-        # files injecting phantom doc_ids/doclens into every search.
-        _clear_dir(runs_dir)
-        _clear_dir(docs_dir)
-        PartitionLog(index_dir, "invert").clear()
-    elif fp_changed:
-        # Incremental append (reference analog: per-doc ES index call K1 —
-        # "incremental add = append partition + delta-merge", SURVEY.md §2.2):
-        # keep every invert partition whose identity (path, row group, slice,
-        # docID base) is unchanged under the new work-item list — true for
-        # all existing partitions when files are only ADDED after them in
-        # sort order — and re-run only the merge stages over old + new runs.
-        # A file inserted mid-order shifts docID bases, so nothing matches
-        # and the build correctly degrades to a full rebuild.
-        plog = PartitionLog(index_dir, "invert")
-        old = plog.read()
-        keep_tbl = None
-        if old is not None and old.num_rows:
-            # vectorized identity match against the new work-item list
-            wi = old["work_item_id"].to_numpy(zero_copy_only=False)
-            in_range = wi < len(items)
-            it_path = np.array([items[w]["path"] if r else "" for w, r in zip(wi, in_range)])
-            it_rg = np.array([items[w]["row_group"] if r else -1 for w, r in zip(wi, in_range)])
-            it_off = np.array([items[w]["row_offset"] if r else -1 for w, r in zip(wi, in_range)])
-            it_base = np.array([items[w]["doc_id_base"] if r else -1 for w, r in zip(wi, in_range)])
-            it_n = np.array([items[w]["num_rows"] if r else -1 for w, r in zip(wi, in_range)])
-            m = (
-                in_range
-                & (old["path"].to_numpy(zero_copy_only=False) == it_path)
-                & (old["row_group"].to_numpy(zero_copy_only=False) == it_rg)
-                & (old["row_offset"].to_numpy(zero_copy_only=False) == it_off)
-                & (old["doc_id_base"].to_numpy(zero_copy_only=False) == it_base)
-                & (old["n_docs"].to_numpy(zero_copy_only=False) == it_n)
-            )
-            if m.any():
-                keep_tbl = old.filter(pa.array(m))
-        man.data["stages"] = {}
-        man.data["stats"] = {}
-        if keep_tbl is not None:
-            plog.replace(keep_tbl)
-        else:
-            plog.clear()
-        _clear_dir(shards_dir)
-        _clear_dir(os.path.join(index_dir, "hotparts"))
-        # prune phase-1 outputs not carried over by ``keep`` (file removed /
-        # shrunk / reordered) — directory-scanning readers must never see
-        # run/docs/sidecar files of abandoned work items
-        keep_files = set()
-        if keep_tbl is not None:
-            for col in ("run_path", "docs_path", "df_path"):
-                for p in keep_tbl[col].to_pylist():
-                    if p:
-                        keep_files.add(os.path.abspath(
-                            _part_path(index_dir, col, p)))
-        for d in (runs_dir, docs_dir):
-            if os.path.isdir(d):
-                for fn in os.listdir(d):
-                    p = os.path.abspath(os.path.join(d, fn))
-                    if p not in keep_files:
-                        os.remove(p)
-    man.data["config"] = cfg.to_dict()
-    man.data["input_fingerprint"] = fp
-    man.save()
-
-    # ---------------- phase 1: invert (per row group, resumable) ----------
-    # Partition rows live in a parquet PartitionLog, streamed from workers —
-    # the driver never materializes the result list or per-item dicts
-    # (VERDICT round-1 item 9: memory honest at millions of work items).
-    t0 = time.time()
-    plog = PartitionLog(index_dir, "invert")
-    done_p1: set[int] = set()
-    if resume:
-        prev = plog.read(columns=["run_path", "docs_path"])
-        if prev is not None:
-            for w, rp, dp in zip(
-                prev["work_item_id"].to_pylist(),
-                prev["run_path"].to_pylist(),
-                prev["docs_path"].to_pylist(),
-            ):
-                if (os.path.exists(_part_path(index_dir, "run_path", rp))
-                        and os.path.exists(_part_path(index_dir, "docs_path", dp))):
-                    done_p1.add(int(w))
-    todo = [it for it in items if it["work_item_id"] not in done_p1]
+    # finished build: marked complete — or, written before that mark
+    # existed, carrying the stats of its final manifest save
+    complete = resume and not cfg_changed and (
+        man.stage_done("complete") or "build_wall_sec" in man.data.get("stats", {})
+    )
     # planned hot threshold (doc count known up front from the footer scout)
     # drives the sidecar pre-filter: per-run counts below thr/(4*num_items)
     # can't plausibly belong to a hot term (Zipf heads are spread ~uniformly
@@ -734,6 +810,61 @@ def build_index(
         if cfg.salt_hot_terms
         else 1
     )
+    if complete and not fp_changed:
+        # finished index, same input: only scratch that a crash between
+        # completion and its deletion left behind remains to go
+        _clear_dir(runs_dir)
+        _clear_dir(hotparts_dir)
+        return man.data
+    keep_tbl = _kept_partitions(plog.read(), items) if complete else None
+    if keep_tbl is not None:
+        # Incremental append (reference analog: per-doc ES index call K1 —
+        # "incremental add = append partition + delta-merge", SURVEY.md §2.2):
+        # keep the invert partitions the new input still has, re-derive
+        # their postings from the live shard files as base runs, invert only
+        # the new items and re-run the merge stages over base + new runs.
+        # Nothing the reader uses changes until the base runs are durable
+        # (recorded by the manifest save below): a crash before that leaves
+        # the old index searchable as it was.
+        base = _write_base_runs(index_dir, keep_tbl, cfg.num_shards, df_min_cnt)
+        no_run = pa.array([""] * keep_tbl.num_rows, pa.string())
+        for c in ("run_path", "df_path"):  # postings now live in the base runs
+            keep_tbl = keep_tbl.set_column(keep_tbl.column_names.index(c), c, no_run)
+        plog.replace(keep_tbl)
+        man.data = {"config": cfg.to_dict(), "stages": {"base": base}, "stats": {}}
+    elif not resume or cfg_changed or fp_changed:
+        # clean rebuild: also when the input changed under an unfinished
+        # build, whose shards are no base to append to
+        man.data = {"config": cfg.to_dict(), "stages": {}, "stats": {}}
+        # docs/ too: IndexReader scans the docs/ DIRECTORY, so a rebuild onto
+        # a smaller corpus must not leave stale docs_NNNNNN files injecting
+        # phantom doc_ids/doclens into every search.
+        for d in (shards_dir, hotparts_dir, runs_dir, docs_dir):
+            _clear_dir(d)
+        plog.clear()
+    man.data["config"] = cfg.to_dict()
+    man.data["input_fingerprint"] = fp
+    man.save()
+
+    # ---------------- phase 1: invert (per row group, resumable) ----------
+    # Partition rows live in a parquet PartitionLog, streamed from workers —
+    # the driver never materializes the result list or per-item dicts
+    # (VERDICT round-1 item 9: memory honest at millions of work items).
+    # A partition is done when its docs file exists and so does its run —
+    # unless its postings live in the base runs (logged run_path "").
+    t0 = time.time()
+    done_p1: set[int] = set()
+    prev = plog.read(columns=["run_path", "docs_path"])
+    if prev is not None:
+        for w, rp, dp in zip(
+            prev["work_item_id"].to_pylist(),
+            prev["run_path"].to_pylist(),
+            prev["docs_path"].to_pylist(),
+        ):
+            if (os.path.exists(_part_path(index_dir, "docs_path", dp))
+                    and (not rp or os.path.exists(_part_path(index_dir, "run_path", rp)))):
+                done_p1.add(int(w))
+    todo = [it for it in items if it["work_item_id"] not in done_p1]
     if todo:
         ds = rd.from_items(todo)
         stage = Phase1Invert(cfg, runs_dir, docs_dir, df_min_cnt=df_min_cnt)
@@ -753,37 +884,22 @@ def build_index(
     if parts_tbl is None:
         parts_tbl = pa.table({
             "work_item_id": pa.array([], pa.int64()),
-            "n_docs": pa.array([], pa.int64()),
-            "sum_doclen": pa.array([], pa.int64()),
-            "n_postings": pa.array([], pa.int64()),
-            "doc_min": pa.array([], pa.int64()),
-            "doc_max": pa.array([], pa.int64()),
             "run_path": pa.array([], pa.string()),
+            "docs_path": pa.array([], pa.string()),
             "df_path": pa.array([], pa.string()),
         })
-    nd_col = parts_tbl["n_docs"].to_numpy(zero_copy_only=False)
-    n_docs = int(nd_col.sum())
-    sum_doclen = int(parts_tbl["sum_doclen"].to_numpy(zero_copy_only=False).sum())
-    avgdl = (sum_doclen / n_docs) if n_docs else 0.0
-    nonempty_m = nd_col > 0
-    doc_lo = (
-        int(parts_tbl["doc_min"].to_numpy(zero_copy_only=False)[nonempty_m].min())
-        if nonempty_m.any() else 0
-    )
-    doc_hi = (
-        int(parts_tbl["doc_max"].to_numpy(zero_copy_only=False)[nonempty_m].max())
-        if nonempty_m.any() else -1
-    )
-    man.data["stats"] = {
-        "n_docs": n_docs,
-        "sum_doclen": sum_doclen,
-        "avgdl": avgdl,
-        "n_postings": int(parts_tbl["n_postings"].to_numpy(zero_copy_only=False).sum()),
-        "doc_min": doc_lo,
-        "doc_max": doc_hi,
-        "k1": cfg.k1,
-        "b": cfg.b,
-    }
+    # directory-scanning readers must never see docs files of abandoned work
+    # items (file removed / shrunk / reordered) or of a crashed write
+    docs_files = [_part_path(index_dir, "docs_path", p)
+                  for p in parts_tbl["docs_path"].to_pylist()]
+    live_names = {os.path.basename(p) for p in docs_files}
+    if os.path.isdir(docs_dir):
+        for fn in os.listdir(docs_dir):
+            if fn not in live_names:
+                os.remove(os.path.join(docs_dir, fn))
+    doc_stats = _doc_store_stats(docs_files)
+    n_docs, avgdl = doc_stats["n_docs"], doc_stats["avgdl"]
+    man.data["stats"] = {**doc_stats, "k1": cfg.k1, "b": cfg.b}
     _task_sums = {
         f"task_{name}_sum": round(
             # nansum: resumed logs may carry null metrics from older sessions
@@ -798,7 +914,9 @@ def build_index(
     # would break bucket doc-range disjointness past 10^6 work items
     _wi_order = np.argsort(parts_tbl["work_item_id"].to_numpy(zero_copy_only=False))
     _rp = parts_tbl["run_path"].to_pylist()
-    run_paths = [_part_path(index_dir, "run_path", _rp[i]) for i in _wi_order]
+    run_paths = [_part_path(index_dir, "run_path", _rp[i]) for i in _wi_order if _rp[i]]
+    base = man.data["stages"].get("base", {})
+    base_runs = [os.path.join(index_dir, p) for p in base.get("runs", [])]
 
     # -------- phase 1.5: hot-term detection (salted-repartition prep) -----
     # Cheap: per-block partial df counts (one row per distinct term per run)
@@ -807,7 +925,7 @@ def build_index(
     # the manifest so a resumed build reroutes identically.
     hot_hashes = np.empty(0, dtype=np.int64)
     if cfg.salt_hot_terms and n_docs > 0:
-        if resume and man.stage("hot").get("status") == "done":
+        if man.stage("hot").get("status") == "done":
             hot_hashes = np.array(man.stage("hot").get("hot_hashes", []), dtype=np.int64)
         else:
             thr = cfg.hot_df_threshold or max(1024, n_docs // 8)
@@ -822,7 +940,7 @@ def build_index(
             df_paths = sorted(
                 _part_path(index_dir, "df_path", pth)
                 for pth in parts_tbl["df_path"].to_pylist() if pth
-            )
+            ) + [os.path.join(index_dir, p) for p in base.get("dfs", [])]
             t = pads.dataset(df_paths).to_table(columns=["term_hash", "cnt"])
             th_all = t["term_hash"].to_numpy(zero_copy_only=False)
             cnt_all = t["cnt"].to_numpy(zero_copy_only=False)
@@ -849,20 +967,25 @@ def build_index(
     hot_sorted = np.sort(hot_hashes)
     # hot run-buckets: contiguous slices of the doc-ordered run list, so each
     # bucket covers a disjoint doc-id range and the final merge is a concat.
+    # The base runs form ONE unit ahead of the new runs: their doc ranges
+    # overlap each other and precede every appended doc.
     # Bucket count adapts to the estimated hot posting volume (target ≈250k
     # postings per task keeps per-task working sets small — which matters
     # both for worker heap reuse and for straggler-free scheduling) and is
     # persisted so a resumed build slices identically.
+    units = ([base_runs] if base_runs else []) + [[p] for p in run_paths]
     n_buckets = 0
     if hot_sorted.size:
         est = int(man.stage("hot").get("est_hot_postings", 0))
         n_buckets = int(man.stage("hot").get("n_buckets", 0))
         if not n_buckets:
             n_buckets = max(cfg.n_salts, min(128, -(-est // 250_000)))
-            n_buckets = min(n_buckets, len(run_paths))
+            n_buckets = min(n_buckets, len(units))
             man.mark_stage("hot", n_buckets=int(n_buckets))
-    buckets = [[str(p) for p in c] for c in np.array_split(run_paths, n_buckets)
+    buckets = [[p for u in c for p in units[u]]
+               for c in np.array_split(np.arange(len(units)), n_buckets)
                if len(c)] if n_buckets else []
+    run_paths = base_runs + run_paths
 
     # ------------- phase 2: per-shard merge (storage-backed shuffle) ------
     # No Dataset.groupby: phase-1 run files are sorted by shard_id with
@@ -871,8 +994,14 @@ def build_index(
     # write-once files, which is also what makes this stage resumable and
     # measured ~10× faster than the sort-based all-to-all it replaces.
     t1 = time.time()
-    hotparts_dir = os.path.join(index_dir, "hotparts")
-    done_shards = man.done_partitions("shards") if resume else set()
+    done_shards = man.done_partitions("shards")
+    if not done_shards:
+        # nothing merged yet: whatever is here is the previous index's (an
+        # append's old shards, now held by the base runs) or a crashed
+        # attempt's — never read again, and a stale shard_hot.parquet would
+        # shadow this build's hot terms
+        _clear_dir(shards_dir)
+        _clear_dir(hotparts_dir)
     todo_merge: list[dict] = []
     for s in range(cfg.num_shards):
         if s not in done_shards:
@@ -971,15 +1100,23 @@ def build_index(
         )
 
     shards_bytes = _dir_bytes(shards_dir)
-    n_postings = man.data["stats"].get("n_postings", 0)
+    # every posting is merged exactly once: by its cold shard or, for a hot
+    # term, by one run-bucket
+    n_postings = int(sum(
+        p.get("n_postings", 0) for p in man.partitions("shards").values()
+    ))
+    man.data["stats"]["n_postings"] = n_postings
     man.data["stats"]["shards_bytes"] = shards_bytes
     man.data["stats"]["docs_bytes"] = _dir_bytes(docs_dir)
-    man.data["stats"]["runs_bytes"] = _dir_bytes(runs_dir)
     man.data["stats"]["bytes_per_posting"] = (
         round(shards_bytes / n_postings, 3) if n_postings else 0.0
     )
     man.data["stats"]["build_wall_sec"] = time.time() - t0
-    man.save()
+    # the shards and the hot merge are durable: runs and hot parts are build
+    # scratch from here on (an append re-derives its postings from shards)
+    man.mark_stage("complete", status="done")
+    _clear_dir(runs_dir)
+    _clear_dir(hotparts_dir)
     return man.data
 
 

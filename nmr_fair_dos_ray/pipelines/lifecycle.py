@@ -12,12 +12,22 @@ deferred to a segment merge ("expunge deletes").
 
 Semantics — FROZEN global stats (Lucene-consistent):
   deletes remove docs from every result set immediately, but df / n_docs /
-  avgdl stay as built until a full rebuild. Consequences, all tested:
+  avgdl stay as built until `refresh_stats` or the next append. Consequences,
+  all tested:
     * live docs keep BIT-IDENTICAL scores through delete and compaction —
       so `compact_index` can be verified by exact result equality, and a
       DuckDB oracle can reproduce deleted-search exactly (stats over the
       full corpus, result rows filtered);
-    * a stats refresh is an explicit `build_index(resume=False)` rebuild.
+    * `refresh_stats` recomputes the stats over the compacted doc store in
+      place (a metadata pass, no posting decode).
+
+Append after compaction: an incremental `build_index(resume=True)` re-derives
+its base postings from the live shard files (`decode_shard_table`) and its
+n_docs / avgdl from the doc store, so it sees exactly what compaction and
+`refresh_stats` left — compacted-away docs never come back, and the result
+equals a fresh build over the surviving docs plus the appended ones.
+Tombstones still outstanding at append time stay in force (their docs are
+masked, and counted in the stats as before the append).
 
 Scale notes (100 TB / 10^12 docs):
   * tombstones are a doc_id set SMALL relative to the corpus by design —
@@ -290,6 +300,43 @@ def _seg_sum(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     return cs[offsets[1:]] - cs[offsets[:-1]]
 
 
+def decode_shard_table(t: pa.Table):
+    """Decode every posting of a shard table in one vectorized pass — the
+    one decode that compaction and the append's base runs share.
+
+    -> ``(counts, doc_ids, tfs, positions)`` in (term, doc_id) order, where
+    ``counts`` is the number of postings per term row. ``positions`` is None
+    when the table has no ``pos_stream``; otherwise ``(has_pos, abs_pos)``:
+    per posting whether it carries a position list (field terms store
+    none), and those lists' absolute positions concatenated — ``tf`` values
+    per positional posting."""
+    from nmr_fair_dos_ray.codec import varint_decode
+    from nmr_fair_dos_ray.search.engine import _binary_views
+
+    blocks = t["blocks"].combine_chunks()
+    flat = blocks.flatten()
+    boff = blocks.offsets.to_numpy(zero_copy_only=False).astype(np.int64)
+    b_n = flat.field("n").to_numpy(zero_copy_only=False).astype(np.int64)
+    docs, tfs = _decode_all_blocks(flat)
+    counts = _seg_sum(b_n, boff)
+    if "pos_stream" not in t.column_names:
+        return counts, docs, tfs, None
+    p_offs, p_data = _binary_views(t["pos_stream"].combine_chunks())
+    has_pos = np.repeat(np.diff(p_offs) > 0, counts)
+    ptfs = tfs[has_pos]
+    n_vals = int(ptfs.sum())
+    abs_pos = np.empty(0, np.int64)
+    if n_vals:
+        vals = varint_decode(
+            p_data[p_offs[0]:p_offs[t.num_rows]].tobytes(), n_vals
+        ).astype(np.int64)
+        # each posting's first value is absolute, the rest are gaps
+        starts = np.concatenate([[0], np.cumsum(ptfs)[:-1]])
+        c = np.cumsum(vals)
+        abs_pos = c - np.repeat(c[starts] - vals[starts], ptfs)
+    return counts, docs, tfs, (has_pos, abs_pos)
+
+
 def _compact_shard_table(
     t: pa.Table,
     tomb: np.ndarray,
@@ -305,19 +352,13 @@ def _compact_shard_table(
     bounds remain valid and search results are bit-identical to the
     tombstone-masked index. Terms whose postings are all dead are dropped
     (observably identical: their masked postings were already empty)."""
-    from nmr_fair_dos_ray.codec import encode_group_blocks, varint_decode, varint_encode_all
-    from nmr_fair_dos_ray.search.engine import _binary_views
+    from nmr_fair_dos_ray.codec import encode_group_blocks, varint_position_lists
 
     n_terms = t.num_rows
     if n_terms == 0:
         return t, 0, 0
-    blocks = t["blocks"].combine_chunks()
-    flat = blocks.flatten()
-    boff = blocks.offsets.to_numpy(zero_copy_only=False).astype(np.int64)
-    b_n = flat.field("n").to_numpy(zero_copy_only=False).astype(np.int64)
-    docs, tfs = _decode_all_blocks(flat)
+    pc_counts, docs, tfs, positions = decode_shard_table(t)
     n_before = docs.size
-    pc_counts = _seg_sum(b_n, boff)  # postings per term
     post_offs = np.concatenate([[0], np.cumsum(pc_counts)])
     keep = ~_member(docs, tomb)
     if keep.all():
@@ -360,45 +401,18 @@ def _compact_shard_table(
             pa.array(new_c_off), pa.array(c_tfn[c_take], pa.float64())
         )
 
-    if "pos_stream" in t.column_names:
-        ps = t["pos_stream"].combine_chunks()
-        p_offs, p_data = _binary_views(ps)
-        has_pos = np.diff(p_offs) > 0  # field terms store empty streams
-        term_tf_sum = _seg_sum(tfs, post_offs)
-        n_vals = int(term_tf_sum[has_pos].sum())
+    if positions is not None:
+        has_pos, abs_pos = positions
+        ptfs = tfs[has_pos]
+        keep_rel = keep[has_pos]
+        data2, post_b = varint_position_lists(
+            abs_pos[np.repeat(keep_rel, ptfs)], ptfs[keep_rel]
+        )
+        # per-term byte counts: sum over each term's KEPT positional postings
         term_of_post = np.repeat(np.arange(n_terms), pc_counts)
-        rel = has_pos[term_of_post]  # postings that carry position lists
-        if n_vals:
-            vals = varint_decode(p_data[p_offs[0]:p_offs[n_terms]].tobytes(), n_vals)
-            ptfs = tfs[rel]
-            starts = np.concatenate([[0], np.cumsum(ptfs)[:-1]])
-            c = np.cumsum(vals.astype(np.int64))
-            adjust = c[starts] - vals[starts].astype(np.int64)
-            abs_pos = c - np.repeat(adjust, ptfs)
-            keep_rel = keep[rel]
-            kept_abs = abs_pos[np.repeat(keep_rel, ptfs)]
-            kept_ptfs = ptfs[keep_rel]
-            if kept_ptfs.size:
-                s2 = np.concatenate([[0], np.cumsum(kept_ptfs)[:-1]])
-                deltas = np.empty_like(kept_abs)
-                deltas[1:] = kept_abs[1:] - kept_abs[:-1]
-                deltas[s2] = kept_abs[s2]
-                data2, nb2 = varint_encode_all(deltas.astype(np.uint64))
-                # bytes per kept positional posting → bytes per term
-                post_b = _seg_sum(nb2, np.concatenate([s2, [kept_abs.size]]))
-            else:
-                data2 = np.empty(0, np.uint8)
-                post_b = np.empty(0, np.int64)
-            # per-term new byte counts: sum posting bytes over each term's
-            # KEPT positional postings
-            term_of_rel = term_of_post[rel][keep_rel]
-            new_term_b = np.zeros(n_terms, np.int64)
-            np.add.at(new_term_b, term_of_rel, post_b)
-        else:
-            data2 = np.empty(0, np.uint8)
-            new_term_b = np.zeros(n_terms, np.int64)
-        new_b_kept = new_term_b[keep_term]
-        np_off = np.concatenate([[0], np.cumsum(new_b_kept)]).astype(np.int64)
+        new_term_b = np.zeros(n_terms, np.int64)
+        np.add.at(new_term_b, term_of_post[has_pos][keep_rel], post_b)
+        np_off = np.concatenate([[0], np.cumsum(new_term_b[keep_term])])
         cols["pos_stream"] = pa.Array.from_buffers(
             pa.binary(), int(keep_term.sum()),
             [None, pa.py_buffer(np_off.astype(np.int32).tobytes()),
@@ -537,7 +551,10 @@ def refresh_stats(index_dir: str) -> dict:
 
     Champion lists are DROPPED: their stored tf_norm values are exact
     score contributions under the old avgdl and would inflate the BMW
-    floor under the new one (over-pruning). A rebuild restores them.
+    floor under the new one (over-pruning). The build config is left as
+    it is — the reader finds champion lists by column presence — so the
+    next append (``build_index(resume=True)`` over added files) stays an
+    append, and its merge rebuilds the champions under the new stats.
 
     Rankings after refresh are bit-equal to a full rebuild over the
     surviving corpus (same postings, doclens and stats ⇒ same per-doc
@@ -648,7 +665,6 @@ def refresh_stats(index_dir: str) -> dict:
         n_docs=n_docs_new, sum_doclen=sum_dl_new, avgdl=avgdl_new,
         n_postings=out["n_postings"],
     )
-    manifest["config"]["champion_m"] = 0
     tmp = man_path + f".refresh-{os.getpid()}"
     with open(tmp, "w") as f:
         json.dump(manifest, f)

@@ -18,12 +18,13 @@ module is that seam, Ray-Data-first:
   AT-LEAST-ONCE — with an idempotent endpoint the sink converges to
   exactly-once EFFECTS, which is the only exactly-once a distributed
   writer can honestly offer.
-* **Failure isolation**: a failed bulk request falls back to per-record
-  sends (one poison record must not dead-letter its whole bulk); a record
-  that still fails after ``max_retries`` becomes a ``status='failed'``
-  OUTPUT ROW (the M17 dead-letter-as-data pattern), never an exception —
-  the stream keeps flowing and the caller routes failures to a dead-letter
-  sink or a retry queue.
+* **Failure isolation**: a failed bulk request, or a record a bulk
+  response reports failed, falls back to per-record sends (one poison
+  record must not dead-letter its whole bulk); a record a per-record send
+  rejects, or that still fails after ``max_retries``, becomes a
+  ``status='failed'`` OUTPUT ROW (the M17 dead-letter-as-data pattern),
+  never an exception — the stream keeps flowing and the caller routes
+  failures to a dead-letter sink or a retry queue.
 * No network in this environment: :class:`InMemoryBulkClient` implements
   the protocol for tests/fixtures with injectable transient and permanent
   failures; a real deployment supplies a factory returning an object with
@@ -155,19 +156,17 @@ class BulkSinkStage:
                 # all-or-nothing bulk failed: isolate per record so one
                 # poison row cannot dead-letter the whole request
                 res = None
-            if res is not None:
-                for (k, ok, err) in res:
-                    out_status.append("ok" if ok else "failed")
-                    out_attempts.append(1)
-                    out_err.append(None if ok else err)
-                continue
-            for k, p in items:
-                status, attempts, err = self._send_one(k, p)
+            # records the bulk did not take go one by one: a transport
+            # error retries, a rejection stops at its first answer
+            ok_in_bulk = ([False] * len(items) if res is None
+                          else [bool(ok) for _, ok, _ in res])
+            for (k, p), ok in zip(items, ok_in_bulk):
+                status, attempts, err = ("ok", 1, None) if ok else self._send_one(k, p)
                 out_status.append(status)
                 out_attempts.append(attempts)
                 out_err.append(err)
         return pa.table({
-            "key": pa.array([str(k) for k in keys], pa.string()),
+            "key": batch[self.key_col],
             "status": pa.array(out_status, pa.string()),
             "attempts": pa.array(out_attempts, pa.int32()),
             "error": pa.array(out_err, pa.string()),

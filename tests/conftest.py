@@ -45,3 +45,40 @@ def sf_test():
     from nmr_fair_dos_ray.fixtures import fixture_dir
 
     return fixture_dir("sf-test")
+
+
+class SimulatedCrash(RuntimeError):
+    """Raised in place of a durable write by the ``durable_writes`` fixture."""
+
+
+class DurableWrites:
+    """Counts this process's durable writes — every ``os.replace``, the
+    rename that makes an atomic write land — by destination file name, and
+    can make the n-th one onto a given name raise :class:`SimulatedCrash`
+    instead, leaving the target as it was: a crash of the building process
+    at that step. Ray workers run in other processes and are not affected."""
+
+    error = SimulatedCrash
+
+    def __init__(self, real):
+        self.real = real
+        self.counts: dict[str, int] = {}
+        self.crash: tuple[str, int] | None = None
+
+    def crash_at(self, name: str, n: int) -> None:
+        self.counts, self.crash = {}, (name, n)
+
+    def replace(self, src, dst, *args, **kwargs):
+        name = os.path.basename(dst)
+        self.counts[name] = self.counts.get(name, 0) + 1
+        if self.crash == (name, self.counts[name]):
+            self.crash = None
+            raise SimulatedCrash(f"crash at write #{self.counts[name]} of {name}")
+        return self.real(src, dst, *args, **kwargs)
+
+
+@pytest.fixture()
+def durable_writes(monkeypatch):
+    dw = DurableWrites(os.replace)
+    monkeypatch.setattr(os, "replace", dw.replace)
+    return dw

@@ -79,3 +79,47 @@ def test_bulk_sink_streams_as_dataset_stage(ray_session):
     assert (df["status"] == "ok").all()
     assert sorted(df["key"]) == sorted(f"p{i}" for i in range(64))
     assert list(df.columns) == ["key", "status", "attempts", "error"]
+
+
+class _ItemFailsOnce(InMemoryBulkClient):
+    """A bulk endpoint that answers (does not raise) that one record failed
+    — once; the record then goes through on its own."""
+
+    def __init__(self, flaky_key, **kwargs):
+        super().__init__(bulk_raises=False, **kwargs)
+        self.flaky = {flaky_key}
+
+    def bulk_put(self, items):
+        self.calls["bulk"] += 1
+        res = []
+        for k, p in items:
+            if k in self.flaky:
+                self.flaky.discard(k)
+                res.append((k, False, "throttled"))
+            else:
+                res.append((k, *self._try_one(k, p)))
+        return res
+
+
+def test_item_failure_in_bulk_response_retries_and_key_keeps_dtype():
+    store = {}
+    client = _ItemFailsOnce(3, store=store)
+    batch = pa.table({
+        "pid": pa.array(range(6), pa.int64()),
+        "value_json": pa.array([f'{{"v": {i}}}' for i in range(6)], pa.string()),
+    })
+    stage = BulkSinkStage(lambda: client, bulk_size=10, retry_base_s=0)
+    out = stage(batch)
+    assert out["status"].to_pylist() == ["ok"] * 6
+    assert out.schema.field("key").type == pa.int64()
+    assert out["key"].to_pylist() == list(range(6))
+    assert client.calls == {"bulk": 1, "single": 1} and store[3] == '{"v": 3}'
+    # a rejection reported inside a bulk response stops at the first
+    # per-record answer: no retries of a permanent failure
+    client = InMemoryBulkClient(fail_keys={"p2"}, bulk_raises=False)
+    stage = BulkSinkStage(lambda: client, bulk_size=10, retry_base_s=0,
+                          max_retries=3)
+    out = stage(_batch(4))
+    assert out["status"].to_pylist() == ["ok", "ok", "failed", "ok"]
+    assert out["attempts"].to_pylist() == [1, 1, 1, 1]
+    assert client.calls == {"bulk": 1, "single": 1}

@@ -122,24 +122,37 @@ def test_shard_count_independence(built_index, oracle, sf_unit):
         assert s1.search(q["query"], k=q["k"]) == s2.search(q["query"], k=q["k"])
 
 
-def test_resume_partial_build(built_index, sf_unit):
-    """Kill-and-resume: deleting outputs rebuilds only them, byte-identical
-    stats and identical query results (SURVEY.md §5 item 4)."""
+def test_resume_partial_build(built_index, sf_unit, durable_writes):
+    """Kill-and-resume: a build that crashes at any of its manifest
+    writes resumes to identical stats and query results, and once the
+    invert log is durable the resume re-inverts nothing (SURVEY.md §5
+    item 4)."""
     idx_dir, man, _ = built_index
     idx3 = "/tmp/nmr_fair_dos_ray/test_index_resume"
-    shutil.rmtree(idx3, ignore_errors=True)
-    build_index(sf_unit["corpus"], idx3, CFG)
-    # simulate partial failure: remove one shard + one invert partition output
-    os.remove(os.path.join(idx3, "shards", "shard_00002.parquet"))
-    os.remove(os.path.join(idx3, "runs", "run_000000.parquet"))
-    man3 = build_index(sf_unit["corpus"], idx3, CFG)
-    assert man3["stats"]["n_docs"] == man["stats"]["n_docs"]
-    assert man3["stats"]["avgdl"] == man["stats"]["avgdl"]
     s1 = Searcher(IndexReader(idx_dir))
-    s3 = Searcher(IndexReader(idx3))
-    queries = pq.read_table(sf_unit["queries"]).to_pylist()
-    for q in queries[:20]:
-        assert s1.search(q["query"], k=q["k"]) == s3.search(q["query"], k=q["k"])
+    queries = pq.read_table(sf_unit["queries"]).to_pylist()[:20]
+    shutil.rmtree(idx3, ignore_errors=True)
+    build_index(sf_unit["corpus"], idx3, CFG)  # counts the manifest writes
+    n_writes = durable_writes.counts["manifest.json"]
+    assert n_writes >= 4
+    docs_dir = os.path.join(idx3, "docs")
+    for n in range(1, n_writes + 1):
+        shutil.rmtree(idx3)
+        durable_writes.crash_at("manifest.json", n)
+        with pytest.raises(durable_writes.error):
+            build_index(sf_unit["corpus"], idx3, CFG)
+        docs = {f: os.stat(os.path.join(docs_dir, f)).st_mtime_ns
+                for f in os.listdir(docs_dir)} if os.path.isdir(docs_dir) else {}
+        assert bool(docs) == (n > 1), n  # the invert log lands before write 2
+        man3 = build_index(sf_unit["corpus"], idx3, CFG)
+        assert man3["stats"]["n_docs"] == man["stats"]["n_docs"]
+        assert man3["stats"]["avgdl"] == man["stats"]["avgdl"]
+        for f, mtime in docs.items():
+            assert os.stat(os.path.join(docs_dir, f)).st_mtime_ns == mtime, (n, f)
+        assert not os.path.exists(os.path.join(idx3, "runs"))
+        s3 = Searcher(IndexReader(idx3))
+        for q in queries:
+            assert s1.search(q["query"], k=q["k"]) == s3.search(q["query"], k=q["k"])
 
 
 def test_config_change_invalidates_resume(sf_unit):

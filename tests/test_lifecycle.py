@@ -385,6 +385,69 @@ def test_refresh_stats_equals_rebuild(sf_unit, tmp_path):
         assert sa2.search(q, k=20) == sb.search(q, k=20), q
 
 
+@pytest.mark.parametrize("refresh", [False, True])
+def test_append_after_compaction_equals_fresh_build(sf_unit, tmp_path, refresh):
+    """build → delete → compact (→ refresh_stats) → append one more file
+    must equal a fresh build over the surviving docs plus the appended rows:
+    the append re-derives its postings from the live shards and its stats
+    from the doc store, so compacted-away docs never come back. refresh_stats
+    leaves the build config alone, so the append stays an append (the kept
+    doc file is not rewritten) and its merge rebuilds the champion lists."""
+    from nmr_fair_dos_ray.pipelines.lifecycle import compact_index, refresh_stats
+    from nmr_fair_dos_ray.search.engine import fetch_docs
+
+    corpus = pq.read_table(sf_unit["corpus"])
+    n = corpus.num_rows
+    corpus = corpus.append_column("did", pa.array(np.arange(n, dtype=np.int64)))
+    extra = corpus.slice(0, 40)
+    extra = extra.set_column(extra.column_names.index("did"), "did",
+                             pa.array(np.arange(n, n + 40, dtype=np.int64)))
+    src = tmp_path / "src"
+    src.mkdir()
+    pq.write_table(corpus, src / "part_000.parquet")
+    cfg = IndexConfig(id_col="did", **BASE)
+    idx_a = str(tmp_path / "idx_append")
+    build_index(str(src), idx_a, cfg)
+    pre = Searcher(IndexReader(idx_a))
+    victims = sorted({d for q in QUERIES for d, _ in pre.search(q, k=5)})
+    delete_docs(idx_a, victims)
+    compact_index(idx_a)
+    if refresh:
+        refresh_stats(idx_a)
+        assert IndexReader(idx_a)._c_off is None  # dropped under new stats
+    docs0 = os.path.join(idx_a, "docs", "docs_000000.parquet")
+    mtime = os.stat(docs0).st_mtime_ns
+    pq.write_table(extra, src / "part_001.parquet")
+    build_index(str(src), idx_a, cfg, resume=True)
+    assert os.stat(docs0).st_mtime_ns == mtime, "kept doc file rewritten"
+
+    fresh = tmp_path / "fresh"
+    fresh.mkdir()
+    keep = ~np.isin(corpus["did"].to_numpy(), np.array(victims))
+    pq.write_table(corpus.filter(pa.array(keep)), fresh / "part_000.parquet")
+    pq.write_table(extra, fresh / "part_001.parquet")
+    idx_b = str(tmp_path / "idx_fresh")
+    build_index(str(fresh), idx_b, cfg)
+
+    ra, rb = IndexReader(idx_a), IndexReader(idx_b)
+    assert ra.n_docs == rb.n_docs == n - len(victims) + 40
+    assert ra.avgdl == pytest.approx(rb.avgdl, abs=0, rel=0)
+    assert ra._c_off is not None  # champion lists rebuilt by the merge
+    sa, sb = Searcher(ra), Searcher(rb)
+    dead = set(victims)
+    for q in QUERIES:
+        for algo in ("bmw", "taat"):
+            got = sa.search(q, k=20, algorithm=algo)
+            assert got == sb.search(q, k=20, algorithm=algo), (q, algo)
+            hits = [d for d, _ in got]
+            assert not dead & set(hits), (q, algo)
+            assert fetch_docs(idx_a, hits, ["repo"])["doc_id"].to_pylist() \
+                == sorted(hits)
+        assert sa.facet_counts(q, "lang") == sb.facet_counts(q, "lang"), q
+    assert sa.search_phrase("user name", k=20) == \
+        sb.search_phrase("user name", k=20)
+
+
 def test_cursor_next_geq_on_masked_cached_postings(sf_unit, tmp_path):
     """Regression (found by the doc-range work; reachable with tombstones
     alone): a cursor whose resident postings are the MASKED cached list can

@@ -84,32 +84,30 @@ def test_identical_topk(both_indexes):
             assert hp == hs, (q, algo)
 
 
-def test_salted_resume_identical(both_indexes, sf_unit):
-    """Interrupt after phase 1 + partial phase 2; resume must finish to the
-    same inventory (manifest-driven skip covers the hot path too)."""
-    import glob
+def test_salted_resume_identical(both_indexes, sf_unit, durable_writes):
+    """Crash after phase 2 (cold shards and salted hot parts durable, their
+    hot merge not written); resume must finish to the same inventory
+    without redoing a recorded merge (the manifest-driven skip covers the
+    hot path too), and then drop the hot parts."""
     import os
 
     _, salted, _, _ = both_indexes
     dir_resume = "/tmp/nmr_fair_dos_ray/test_index_salted_resume"
     shutil.rmtree(dir_resume, ignore_errors=True)
     cfg = IndexConfig(salt_hot_terms=True, hot_df_threshold=8, n_salts=3, **BASE)
-    build_index(sf_unit["corpus"], dir_resume, cfg)
-    # simulate a crash that lost some phase-2 outputs (manifest says done,
-    # files gone → done_partitions drops them → they rebuild)
-    victims = sorted(glob.glob(os.path.join(dir_resume, "shards", "shard_0000*.parquet")))[:2]
-    victims += sorted(glob.glob(os.path.join(dir_resume, "hotparts", "*.parquet")))[:2]
-    for v in victims:
-        os.unlink(v)
-    # drop the stage-done flags so the build re-enters phase 2/3
-    import json
-
-    mp = os.path.join(dir_resume, "manifest.json")
-    man = json.load(open(mp))
-    man["stages"]["shards"].pop("status", None)
-    man["stages"].pop("hotmerge", None)
-    json.dump(man, open(mp, "w"))
+    durable_writes.crash_at("shard_hot.parquet", 1)
+    with pytest.raises(durable_writes.error):
+        build_index(sf_unit["corpus"], dir_resume, cfg)
+    hot_dir = os.path.join(dir_resume, "hotparts")
+    assert os.listdir(hot_dir)
+    shards_dir = os.path.join(dir_resume, "shards")
+    cold = {f: os.stat(os.path.join(shards_dir, f)).st_mtime_ns
+            for f in os.listdir(shards_dir) if f.endswith(".parquet")}
+    assert "shard_hot.parquet" not in cold and len(cold) == cfg.num_shards
     build_index(sf_unit["corpus"], dir_resume, cfg, resume=True)
+    for f, mtime in cold.items():
+        assert os.stat(os.path.join(shards_dir, f)).st_mtime_ns == mtime, f
+    assert not os.path.exists(hot_dir)
     resumed = IndexReader(dir_resume)
     assert set(resumed.terms) == set(salted.terms)
     for term in salted.terms:
