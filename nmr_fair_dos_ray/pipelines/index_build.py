@@ -32,10 +32,11 @@ Phase 2 (the SPIMI merge — a storage-backed map-side shuffle):
 
 On disk only the searchable index stays: ``shards/`` (cold shards plus
 ``shard_hot.parquet``), ``docs/``, ``manifest.json`` and the invert partition
-log. Once the shards and the hot merge are durable the build is marked
-complete and ``runs/`` and ``hotparts/`` are deleted; a crash before that
-resumes from them. A same-input ``resume=True`` call on a complete index
-rewrites nothing.
+log. Once the shards and the hot merge are durable the final manifest save
+marks the build finished and ``runs/`` and ``hotparts/`` are deleted; a
+crash before that resumes from them. A same-input ``resume=True`` call on a
+finished index rewrites nothing; if one of its searchable files is gone,
+there are no runs to rebuild it from, so the build restarts clean.
 
 Append (files added after the existing ones, ``resume=True``): every live
 shard file is decoded — one Ray task per file, the decode compaction uses —
@@ -407,10 +408,6 @@ class Phase1Invert:
             "row_offset": int(item.get("row_offset", 0)),
             "doc_id_base": int(item["doc_id_base"]),
             "n_docs": int(n),
-            "doc_min": int(doc_ids.min()) if n else 0,
-            "doc_max": int(doc_ids.max()) if n else -1,
-            "sum_doclen": int(doclens.sum()),
-            "n_postings": int(postings.num_rows),
             # logged relative to the index dir (see _part_path)
             "run_path": os.path.join("runs", run_name),
             "docs_path": os.path.join("docs", docs_name),
@@ -729,25 +726,40 @@ def _write_base_runs(index_dir: str, keep_tbl: pa.Table, num_shards: int,
 
 
 def _doc_store_stats(paths: list[str]) -> dict:
-    """n_docs / sum_doclen / avgdl / doc-id range over the given doc-store
-    files — after compaction the doc store holds only live docs, so these
-    are the stats of what the index can still return."""
+    """n_docs / sum_doclen / avgdl over the given doc-store files — after
+    compaction the doc store holds only live docs, so these are the stats
+    of what the index can still return."""
     import pyarrow.dataset as pads
 
     if not paths:
-        return {"n_docs": 0, "sum_doclen": 0, "avgdl": 0.0, "doc_min": 0,
-                "doc_max": -1}
-    t = pads.dataset(paths).to_table(columns=["doc_id", "doclen"])
-    n_docs = t.num_rows
-    sum_doclen = int(pc.sum(t["doclen"]).as_py() or 0)
-    mm = pc.min_max(t["doc_id"]).as_py()
+        return {"n_docs": 0, "sum_doclen": 0, "avgdl": 0.0}
+    doclen = pads.dataset(paths).to_table(columns=["doclen"])["doclen"]
+    n_docs = len(doclen)
+    sum_doclen = int(pc.sum(doclen).as_py() or 0)
     return {
         "n_docs": n_docs,
         "sum_doclen": sum_doclen,
         "avgdl": (sum_doclen / n_docs) if n_docs else 0.0,
-        "doc_min": int(mm["min"]) if n_docs else 0,
-        "doc_max": int(mm["max"]) if n_docs else -1,
     }
+
+
+def _lost_index_files(index_dir: str, man: Manifest, plog: PartitionLog,
+                      num_shards: int) -> list[str]:
+    """Searchable files a finished build recorded that are no longer on
+    disk: its cold shards, its hot shard and its doc-store files. Paths
+    resolve by file name under this index dir (a copied index checks its
+    own files)."""
+    shards_dir = os.path.join(index_dir, "shards")
+    want = [os.path.join(shards_dir, os.path.basename(v["path"]))
+            for k, v in man.partitions("shards").items()
+            if int(k) < num_shards and v.get("path")]
+    if man.stage("hotmerge").get("path"):
+        want.append(os.path.join(shards_dir, "shard_hot.parquet"))
+    docs = plog.read(columns=["docs_path"])
+    if docs is not None:
+        want += [_part_path(index_dir, "docs_path", p)
+                 for p in docs["docs_path"].to_pylist()]
+    return [p for p in want if not os.path.exists(p)]
 
 
 def build_index(
@@ -794,11 +806,12 @@ def build_index(
         and json.dumps(man.data["config"], sort_keys=True) != cfg_json
     )
     fp_changed = man.data.get("input_fingerprint") not in (None, fp)
-    # finished build: marked complete — or, written before that mark
-    # existed, carrying the stats of its final manifest save
-    complete = resume and not cfg_changed and (
-        man.stage_done("complete") or "build_wall_sec" in man.data.get("stats", {})
-    )
+    # finished build: its final manifest save carries build_wall_sec
+    finished = (resume and not cfg_changed
+                and "build_wall_sec" in man.data.get("stats", {}))
+    # a finished index has no runs left to rebuild a lost file from
+    lost = (_lost_index_files(index_dir, man, plog, cfg.num_shards)
+            if finished else [])
     # planned hot threshold (doc count known up front from the footer scout)
     # drives the sidecar pre-filter: per-run counts below thr/(4*num_items)
     # can't plausibly belong to a hot term (Zipf heads are spread ~uniformly
@@ -810,13 +823,14 @@ def build_index(
         if cfg.salt_hot_terms
         else 1
     )
-    if complete and not fp_changed:
+    if finished and not lost and not fp_changed:
         # finished index, same input: only scratch that a crash between
-        # completion and its deletion left behind remains to go
+        # the final save and its deletion left behind remains to go
         _clear_dir(runs_dir)
         _clear_dir(hotparts_dir)
         return man.data
-    keep_tbl = _kept_partitions(plog.read(), items) if complete else None
+    keep_tbl = (_kept_partitions(plog.read(), items)
+                if finished and not lost else None)
     if keep_tbl is not None:
         # Incremental append (reference analog: per-doc ES index call K1 —
         # "incremental add = append partition + delta-merge", SURVEY.md §2.2):
@@ -832,9 +846,10 @@ def build_index(
             keep_tbl = keep_tbl.set_column(keep_tbl.column_names.index(c), c, no_run)
         plog.replace(keep_tbl)
         man.data = {"config": cfg.to_dict(), "stages": {"base": base}, "stats": {}}
-    elif not resume or cfg_changed or fp_changed:
+    elif not resume or cfg_changed or fp_changed or lost:
         # clean rebuild: also when the input changed under an unfinished
-        # build, whose shards are no base to append to
+        # build, whose shards are no base to append to, and when a finished
+        # index lost a searchable file (an append would drop its postings)
         man.data = {"config": cfg.to_dict(), "stages": {}, "stats": {}}
         # docs/ too: IndexReader scans the docs/ DIRECTORY, so a rebuild onto
         # a smaller corpus must not leave stale docs_NNNNNN files injecting
@@ -1111,10 +1126,11 @@ def build_index(
     man.data["stats"]["bytes_per_posting"] = (
         round(shards_bytes / n_postings, 3) if n_postings else 0.0
     )
+    # build_wall_sec marks the build finished: the shards and the hot merge
+    # are durable, so runs and hot parts are build scratch from here on (an
+    # append re-derives its postings from the shards)
     man.data["stats"]["build_wall_sec"] = time.time() - t0
-    # the shards and the hot merge are durable: runs and hot parts are build
-    # scratch from here on (an append re-derives its postings from shards)
-    man.mark_stage("complete", status="done")
+    man.save()
     _clear_dir(runs_dir)
     _clear_dir(hotparts_dir)
     return man.data

@@ -155,11 +155,18 @@ def test_seed_survives_resume(champ_indexes, sf_unit):
 
     _, r_on, _, _ = champ_indexes
     s_before = Searcher(r_on)
-    q = "def return self"
-    before = s_before.search(q, k=10)
     victim = sorted(os.listdir(f"{DIR_ON}/shards"))[1]
+    # the lost shard's most frequent term: its answer must come back too
+    vt = pq.read_table(f"{DIR_ON}/shards/{victim}", columns=["term", "df"])
+    lost_term = vt["term"][int(np.argmax(vt["df"].to_numpy()))].as_py()
+    queries = ["def return self", lost_term]
+    before = [s_before.search(q, k=10) for q in queries]
+    assert before[1]
+    terms_before = set(r_on.terms)
     os.remove(f"{DIR_ON}/shards/{victim}")
     build_index(sf_unit["corpus"], DIR_ON, IndexConfig(champion_m=M, **BASE))
+    assert os.path.exists(f"{DIR_ON}/shards/{victim}")
     r2 = IndexReader(DIR_ON)
     assert r2.has_champions
-    assert Searcher(r2).search(q, k=10) == before
+    assert set(r2.terms) == terms_before
+    assert [Searcher(r2).search(q, k=10) for q in queries] == before

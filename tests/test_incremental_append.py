@@ -255,7 +255,7 @@ def test_append_crash_resumes_to_no_crash_result(salted_append, durable_writes, 
     d, old, ref = salted_append
     if point == "before_scratch_deleted":
         # a clean append (hot terms go through the base-run bucket) counts
-        # the manifest writes; the last one marks the build complete
+        # the manifest writes; the last one marks the build finished
         clean = _copy(old, "salted_clean")
         man = build_index(d, clean, SALTED, resume=True)
         assert man["stages"]["base"]["runs"] and man["stages"]["hot"]["n_hot"] > 0

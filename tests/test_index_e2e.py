@@ -125,8 +125,8 @@ def test_shard_count_independence(built_index, oracle, sf_unit):
 def test_resume_partial_build(built_index, sf_unit, durable_writes):
     """Kill-and-resume: a build that crashes at any of its manifest
     writes resumes to identical stats and query results, and once the
-    invert log is durable the resume re-inverts nothing (SURVEY.md §5
-    item 4)."""
+    invert log is durable the resume re-inverts nothing; a finished index
+    that lost a shard file rebuilds it (SURVEY.md §5 item 4)."""
     idx_dir, man, _ = built_index
     idx3 = "/tmp/nmr_fair_dos_ray/test_index_resume"
     s1 = Searcher(IndexReader(idx_dir))
@@ -153,6 +153,19 @@ def test_resume_partial_build(built_index, sf_unit, durable_writes):
         s3 = Searcher(IndexReader(idx3))
         for q in queries:
             assert s1.search(q["query"], k=q["k"]) == s3.search(q["query"], k=q["k"])
+    # a finished index keeps no runs: losing one of its shard files makes
+    # the next resume rebuild the index, shard included
+    lost = os.path.join(idx3, "shards", "shard_00002.parquet")
+    os.remove(lost)
+    man3 = build_index(sf_unit["corpus"], idx3, CFG)
+    assert os.path.exists(lost)
+    assert man3["stats"]["n_docs"] == man["stats"]["n_docs"]
+    assert man3["stats"]["avgdl"] == man["stats"]["avgdl"]
+    r3 = IndexReader(idx3)
+    assert set(r3.terms) == set(IndexReader(idx_dir).terms)
+    s3 = Searcher(r3)
+    for q in queries:
+        assert s1.search(q["query"], k=q["k"]) == s3.search(q["query"], k=q["k"])
 
 
 def test_config_change_invalidates_resume(sf_unit):

@@ -177,13 +177,22 @@ def test_facet_counts_match_pandas(pos_index):
 
 def test_positions_survive_resume(pos_index, sf_unit):
     r, _, _ = pos_index
-    before = Searcher(r).search_phrase("user name", k=10)
     victim = sorted(os.listdir(f"{DIR_POS}/shards"))[1]
+    # the lost shard's most frequent token-stream term: its positions must
+    # come back too (a one-term phrase reads them)
+    vt = pq.read_table(f"{DIR_POS}/shards/{victim}", columns=["term", "df"])
+    terms = vt["term"].to_pylist()
+    lost_term = max((t for t in terms if r.tokenizer.tokenize(t) == [t]),
+                    key=lambda t: vt["df"][terms.index(t)].as_py())
+    phrases = ["user name", lost_term]
+    before = [Searcher(r).search_phrase(p, k=10) for p in phrases]
+    assert before[1]
     os.remove(f"{DIR_POS}/shards/{victim}")
     build_index(sf_unit["corpus"], DIR_POS, IndexConfig(store_positions=True, **BASE))
+    assert os.path.exists(f"{DIR_POS}/shards/{victim}")
     r2 = IndexReader(DIR_POS)
     assert r2.has_positions
-    assert Searcher(r2).search_phrase("user name", k=10) == before
+    assert [Searcher(r2).search_phrase(p, k=10) for p in phrases] == before
 
 
 # --------------------------------------------------------------- proximity
