@@ -10,27 +10,43 @@ Both encode and decode are numpy-vectorized: they loop over *byte positions*
 (≤10 passes for uint64), never over values, so a multi-million-posting shard
 compresses without per-value Python overhead.
 
-Block layout per term (Arrow struct, stored in shard parquet files):
-    doc_base   int64    absolute first docID of the block
-    doc_last   int64    absolute last docID (skip pointer for WAND)
-    n          int32    number of postings in the block
-    max_score  float64  upper bound of BM25 contribution within the block
-                        (float64 on purpose: a float32-rounded bound could
-                        fall below the true score and break BMW pruning)
-    max_tf_norm float64 idf-free part of max_score: max over the block of
-                        tf*(k1+1)/(tf + k1*(1-b+b*dl/avgdl)). Lets a later
-                        pass recompute max_score = idf * max_tf_norm when the
-                        term's global df is only known after merging salted
-                        doc-range sub-shards (hot-term skew handling).
-    docs       binary   varint gaps for postings 1..n-1 (first is doc_base)
-    tfs        binary   varint term frequencies for postings 0..n-1
+Block layout per term (Arrow struct ``BLOCK_TYPE``, stored in shard parquet
+files):
+    doc_base    int64    absolute first docID of the block
+    doc_last    int64    absolute last docID (skip pointer for WAND)
+    n           int32    number of postings in the block
+    max_tf_norm float64  idf-free block max: max over the block of
+                         tf*(k1+1)/(tf + k1*(1-b+b*dl/avgdl))
+    docs        binary   varint gaps for postings 1..n-1 (first is doc_base)
+    tfs         binary   varint term frequencies for postings 0..n-1
+
+The block's BM25 bound is not stored: the reader derives it at load as
+``bm25_idf(df, n_docs) * max_tf_norm`` (``IndexReader.build_state``), with the
+df of the shard file and the n_docs of the manifest the scorer uses. The
+scorer computes every posting's score as that same idf times its tf-norm
+(``bm25_term_scores``), and multiplying by a positive float64 is monotone, so
+the derived bound is a true upper bound by construction, whatever stats the
+index carries (float64 on purpose: a float32-rounded bound could fall below
+the true score and break BMW pruning).
 """
 
 from __future__ import annotations
 
 import numpy as np
+import pyarrow as pa
 
 BLOCK_SIZE = 128
+
+BLOCK_TYPE = pa.struct(
+    [
+        ("doc_base", pa.int64()),
+        ("doc_last", pa.int64()),
+        ("n", pa.int32()),
+        ("max_tf_norm", pa.float64()),
+        ("docs", pa.binary()),
+        ("tfs", pa.binary()),
+    ]
+)
 
 
 # ---------------------------------------------------------------- varint ----
@@ -136,7 +152,6 @@ def encode_blocks(
     doc_ids: np.ndarray,
     tfs: np.ndarray,
     doclens: np.ndarray,
-    idf: float,
     k1: float,
     b: float,
     avgdl: float,
@@ -144,12 +159,9 @@ def encode_blocks(
 ) -> list[dict]:
     """Split one term's docID-sorted postings into compressed blocks.
 
-    ``max_score`` is the exact maximum BM25 contribution of the term within
-    the block (computed from tf and the posting's true doclen), the block-max
-    metadata driving BMW pruning (SURVEY.md §2.8 O1). Because idf > 0 and
-    multiplication by a positive constant is monotone in IEEE float64,
-    ``max_score == idf * max_tf_norm`` exactly — so a merge pass that learns
-    the true global df later can rewrite max_score without decoding postings.
+    ``max_tf_norm`` is the exact maximum idf-free BM25 factor within the
+    block (computed from tf and the posting's true doclen); times the term's
+    idf it is the block-max bound driving BMW pruning (SURVEY.md §2.8 O1).
     """
     from nmr_fair_dos_ray.search.bm25 import bm25_tf_norm
 
@@ -166,7 +178,6 @@ def encode_blocks(
                 "doc_base": int(d[0]),
                 "doc_last": int(d[-1]),
                 "n": int(e - s),
-                "max_score": idf * max_tf_norm,
                 "max_tf_norm": max_tf_norm,
                 "docs": varint_encode(gaps),
                 "tfs": varint_encode(t.astype(np.uint64)),
@@ -188,7 +199,6 @@ def encode_group_blocks(
     tfs: np.ndarray,
     doclens: np.ndarray,
     term_counts: np.ndarray,
-    idfs: np.ndarray,
     k1: float,
     b: float,
     avgdl: float,
@@ -197,7 +207,7 @@ def encode_group_blocks(
     """Encode ALL terms of a merge group in one vectorized pass.
 
     Inputs are the group's postings sorted by (term, doc_id): ``term_counts``
-    is the per-term posting count (term order), ``idfs`` the per-term idf.
+    is the per-term posting count (term order).
     Returns a ``pyarrow.ListArray`` of block structs, one list per term —
     identical content to calling :func:`encode_blocks` per term, but with no
     per-term Python: block boundaries via cumsum/flatnonzero, per-block maxes
@@ -205,17 +215,10 @@ def encode_group_blocks(
     group, and the per-block binary columns created zero-copy from byte
     offsets into that single stream (``BinaryArray.from_buffers``).
     """
-    import pyarrow as pa
-
     n = doc_ids.size
     if n == 0:
-        struct_type = pa.struct(
-            [("doc_base", pa.int64()), ("doc_last", pa.int64()), ("n", pa.int32()),
-             ("max_score", pa.float64()), ("max_tf_norm", pa.float64()),
-             ("docs", pa.binary()), ("tfs", pa.binary())]
-        )
         return pa.ListArray.from_arrays(
-            pa.array([0], pa.int32()), pa.array([], struct_type)
+            pa.array([0], pa.int32()), pa.array([], BLOCK_TYPE)
         ).slice(0, 0)
     term_starts = np.concatenate([[0], np.cumsum(term_counts)[:-1]])
     pos_in_term = np.arange(n, dtype=np.int64) - np.repeat(term_starts, term_counts)
@@ -232,8 +235,6 @@ def encode_group_blocks(
     tf_norm = (tf_f * (k1 + 1.0)) / (tf_f + k1 * (1.0 - b + b * dl_f / avgdl))
     max_tf_norm = np.maximum.reduceat(tf_norm, bstarts)
     blocks_per_term = -(-term_counts // block_size)  # ceil
-    idf_of_block = np.repeat(idfs, blocks_per_term)
-    max_score = idf_of_block * max_tf_norm
 
     # gaps: value for every non-block-start posting (prev posting is in the
     # same block because block starts reset the run)
@@ -280,12 +281,11 @@ def encode_group_blocks(
             pa.array(doc_base, pa.int64()),
             pa.array(doc_last, pa.int64()),
             pa.array(bn, pa.int32()),
-            pa.array(max_score, pa.float64()),
             pa.array(max_tf_norm, pa.float64()),
             docs_bin,
             tfs_bin,
         ],
-        names=["doc_base", "doc_last", "n", "max_score", "max_tf_norm", "docs", "tfs"],
+        fields=list(BLOCK_TYPE),
     )
     list_offsets = np.concatenate([[0], np.cumsum(blocks_per_term)]).astype(np.int32)
     return pa.ListArray.from_arrays(pa.array(list_offsets, pa.int32()), struct)

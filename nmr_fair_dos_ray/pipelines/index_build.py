@@ -19,8 +19,8 @@ Phase 2 (the SPIMI merge — a storage-backed map-side shuffle):
     aligned to shard boundaries, so the "exchange" is free: the merge task
     for shard ``s`` opens every run and reads ONLY its row groups (parquet
     min/max statistics prune the rest). One task per shard: sort
-    (term, doc_id), per-term df/idf, 128-posting blocks with delta+varint
-    compression and per-block exact max BM25 contribution (block-max
+    (term, doc_id), per-term df, 128-posting blocks with delta+varint
+    compression and per-block exact max idf-free BM25 factor (block-max
     metadata for BMW) → one shard file (atomic) → manifest row per shard.
     This replaces ``Dataset.groupby(shard).map_groups`` deliberately: a
     sort-based all-to-all moved 100% of the postings through the object
@@ -32,7 +32,17 @@ Phase 2 (the SPIMI merge — a storage-backed map-side shuffle):
 
 On disk only the searchable index stays: ``shards/`` (cold shards plus
 ``shard_hot.parquet``), ``docs/``, ``manifest.json`` and the invert partition
-log. Once the shards and the hot merge are durable the final manifest save
+log. A shard file holds only what a reader cannot recompute, one row per
+term: ``term``, ``df``, ``blocks`` (``codec.BLOCK_TYPE``: doc range, count,
+idf-free block max and the varint docs/tfs bytes), plus ``champ_docs`` /
+``champ_tfn`` with champion lists and ``pos_stream`` with positions. Block
+BM25 bounds are derived by the reader from df and the manifest's n_docs.
+Every shard and doc-store file goes through one writer
+(:func:`write_index_file`: zstd, hidden temp name, ``os.replace``). The
+phase-1 runs keep ``term_hash``, the shuffle key they are routed and
+hot-filtered by.
+
+Once the shards and the hot merge are durable the final manifest save
 marks the build finished and ``runs/`` and ``hotparts/`` are deleted; a
 crash before that resumes from them. A same-input ``resume=True`` call on a
 finished index rewrites nothing; if one of its searchable files is gone,
@@ -78,8 +88,9 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
-from nmr_fair_dos_ray.codec import BLOCK_SIZE, encode_group_blocks, varint_position_lists
-from nmr_fair_dos_ray.search.bm25 import bm25_idf
+from nmr_fair_dos_ray.codec import (
+    BLOCK_SIZE, BLOCK_TYPE, encode_group_blocks, varint_position_lists,
+)
 from nmr_fair_dos_ray.sources.parquet_source import corpus_paths, read_work_item, work_items
 from nmr_fair_dos_ray.state.manifest import (
     Manifest, PartitionLog, fingerprint_files,
@@ -104,8 +115,8 @@ class IndexConfig:
     # merge: one term's postings all land in one map_groups task. With
     # salting, terms whose df ≥ hot_df_threshold are rerouted to n_salts
     # disjoint doc-range sub-groups, merged independently, and concatenated
-    # (ranges are disjoint + sorted) in a cheap final pass that fixes
-    # df/idf/max_score globally.
+    # (ranges are disjoint + sorted) in a cheap final pass that fixes df
+    # globally.
     salt_hot_terms: bool = True
     hot_df_threshold: int | None = None  # None → max(1024, n_docs // 8)
     n_salts: int = 8
@@ -163,18 +174,6 @@ class IndexConfig:
             else 4 * self.champion_m
         )
 
-
-BLOCK_TYPE = pa.struct(
-    [
-        ("doc_base", pa.int64()),
-        ("doc_last", pa.int64()),
-        ("n", pa.int32()),
-        ("max_score", pa.float64()),
-        ("max_tf_norm", pa.float64()),
-        ("docs", pa.binary()),
-        ("tfs", pa.binary()),
-    ]
-)
 
 POSTING_SCHEMA = pa.schema(
     [
@@ -383,7 +382,7 @@ class Phase1Invert:
         docs_path = os.path.join(self.docs_dir, docs_name)
         df_path = os.path.join(self.runs_dir, df_name)
         _atomic_write_run(postings, run_path)
-        _atomic_write_parquet(docs, docs_path)
+        write_index_file(docs, docs_path)
         # partial document frequencies (term_hash → rows-in-run): a tiny
         # sidecar per run so hot-term detection is a merge of pre-aggregated
         # sketches instead of a full shuffle of the posting rows. Rows with
@@ -395,7 +394,7 @@ class Phase1Invert:
         if self.df_min_cnt > 1:
             keep_hot = u_cnt >= self.df_min_cnt
             u_th, u_cnt = u_th[keep_hot], u_cnt[keep_hot]
-        _atomic_write_parquet(
+        write_index_file(
             pa.table({"term_hash": pa.array(u_th.view(np.int64)),
                       "cnt": pa.array(u_cnt.astype(np.int64))}),
             df_path,
@@ -456,10 +455,27 @@ def _cap_arrow_threads(n: int = 2) -> None:
         pass
 
 
-def _atomic_write_parquet(table: pa.Table, path: str) -> None:
+#: parquet codec of every file :func:`write_index_file` writes. zstd packs
+#: the varint block bytes and the doc store about a third tighter than
+#: parquet's default snappy, at a read cost within noise.
+INDEX_CODEC = "zstd"
+
+
+def _tmp_path(path: str) -> str:
+    """Temp name of an atomic write: beside ``path`` and dot-prefixed, so
+    directory-scanning readers (pyarrow datasets skip ``.`` names) never
+    load a crash's leftover as data."""
+    d, name = os.path.split(path)
+    return os.path.join(d, f".{name}.tmp-{os.getpid()}")
+
+
+def write_index_file(table: pa.Table, path: str) -> None:
+    """Atomically write one index file — every shard and doc-store file
+    (build, hot merge, compaction, refresh) and the build's df sidecars:
+    zstd parquet to a hidden temp name, then ``os.replace``."""
     os.makedirs(os.path.dirname(path), exist_ok=True)
-    tmp = path + f".tmp-{os.getpid()}"
-    pq.write_table(table, tmp)
+    tmp = _tmp_path(path)
+    pq.write_table(table, tmp, compression=INDEX_CODEC)
     os.replace(tmp, path)
 
 
@@ -467,7 +483,7 @@ def _atomic_write_run(postings: pa.Table, path: str) -> None:
     """Write a posting run (already sorted by shard_id) with one row group
     per shard, so downstream per-shard readers prune on statistics."""
     os.makedirs(os.path.dirname(path), exist_ok=True)
-    tmp = path + f".tmp-{os.getpid()}"
+    tmp = _tmp_path(path)
     sh = postings["shard_id"].to_numpy(zero_copy_only=False)
     bounds = np.concatenate(
         [[0], np.flatnonzero(np.diff(sh)) + 1, [len(sh)]]
@@ -480,8 +496,7 @@ def _atomic_write_run(postings: pa.Table, path: str) -> None:
 
 
 _EMPTY_SHARD = pa.schema(
-    [("term", pa.string()), ("term_hash", pa.int64()), ("df", pa.int64()),
-     ("cf", pa.int64()), ("blocks", pa.list_(BLOCK_TYPE))]
+    [("term", pa.string()), ("df", pa.int64()), ("blocks", pa.list_(BLOCK_TYPE))]
 )
 
 _CHAMP_FIELDS = [
@@ -514,17 +529,16 @@ def _top_m_per_segment(
 
 
 def build_group_table(
-    group: pa.Table, cfg: IndexConfig, n_docs: int, avgdl: float,
-    hot_part: bool = False,
+    group: pa.Table, cfg: IndexConfig, avgdl: float, hot_part: bool = False,
 ) -> pa.Table:
-    """Merge+compress one group of postings (columns term/term_hash/doc_id/
-    tf/doclen) into a shard table: sort (term, doc_id) once, slice per term
-    via dictionary change points, encode every block in one vectorized pass.
+    """Merge+compress one group of postings (columns term/doc_id/tf/doclen)
+    into a shard table: sort (term, doc_id) once, slice per term via
+    dictionary change points, encode every block in one vectorized pass.
 
     df computed here is exact iff the group holds EVERY posting of its terms
-    (cold shards); for hot doc-range parts it is partial and finalized by
-    :func:`merge_hot_parts` (stored max_tf_norm makes that a metadata
-    rewrite, not a posting decode).
+    (cold shards); for hot doc-range parts it is partial and summed by
+    :func:`merge_hot_parts`. Blocks store no idf, so that merge only
+    concatenates them.
     """
     if group.num_rows == 0:
         schema = _EMPTY_SHARD
@@ -542,7 +556,6 @@ def build_group_table(
     doc_ids = g["doc_id"].to_numpy(zero_copy_only=False)
     tfs = g["tf"].to_numpy(zero_copy_only=False)
     doclens = g["doclen"].to_numpy(zero_copy_only=False)
-    hashes = g["term_hash"].to_numpy(zero_copy_only=False)
 
     # term boundaries via dictionary-encoded change points
     enc = pc.dictionary_encode(terms)
@@ -553,18 +566,13 @@ def build_group_table(
     ends = np.concatenate([change, [len(codes)]])
     counts = ends - starts
 
-    # idf per term via the scalar bm25_idf (math.log) so stored block maxes
-    # are bit-consistent with query-time idf; O(terms), not O(postings).
-    idfs = np.array([bm25_idf(int(c), n_docs) for c in counts], np.float64)
     blocks_list = encode_group_blocks(
-        doc_ids, tfs, doclens, counts, idfs,
+        doc_ids, tfs, doclens, counts,
         cfg.k1, cfg.b, avgdl, block_size=cfg.block_size,
     )
     cols = {
         "term": terms.take(pa.array(starts)),
-        "term_hash": pa.array(hashes[starts], pa.int64()),
         "df": pa.array(counts, pa.int64()),
-        "cf": pa.array(np.add.reduceat(tfs, starts), pa.int64()),
         "blocks": blocks_list,
     }
     if cfg.champion_m > 0:
@@ -672,12 +680,12 @@ def _write_base_runs(index_dir: str, keep_tbl: pa.Table, num_shards: int,
                 has_pos = has_pos[live]
             term_row = np.repeat(np.arange(t.num_rows), counts)[live]
             doc_ids, tfs = doc_ids[live], tfs[live]
-            th = t["term_hash"].to_numpy(zero_copy_only=False)[term_row]
+            terms = t["term"].combine_chunks()
+            th = term_hash(terms)[term_row]
             cols = {
-                "shard_id": pa.array(
-                    (th.view(np.uint64) % np.uint64(num_shards)).astype(np.int32)),
-                "term": t["term"].combine_chunks().take(pa.array(term_row)),
-                "term_hash": pa.array(th, pa.int64()),
+                "shard_id": pa.array((th % np.uint64(num_shards)).astype(np.int32)),
+                "term": terms.take(pa.array(term_row)),
+                "term_hash": pa.array(th.view(np.int64)),
                 "doc_id": pa.array(doc_ids, pa.int64()),
                 "tf": pa.array(tfs, pa.int32()),
                 "doclen": pa.array(
@@ -699,8 +707,8 @@ def _write_base_runs(index_dir: str, keep_tbl: pa.Table, num_shards: int,
             _atomic_write_run(postings, os.path.join(runs_dir, run_name))
             u_th, u_cnt = np.unique(th, return_counts=True)
             keep_hot = u_cnt >= df_min_cnt
-            _atomic_write_parquet(
-                pa.table({"term_hash": pa.array(u_th[keep_hot], pa.int64()),
+            write_index_file(
+                pa.table({"term_hash": pa.array(u_th[keep_hot].view(np.int64)),
                           "cnt": pa.array(u_cnt[keep_hot].astype(np.int64))}),
                 os.path.join(runs_dir, df_name),
             )
@@ -1038,29 +1046,26 @@ def build_index(
                 t0m = time.time()
                 c0m = time.process_time()
                 pid = int(it["pid"])
-                merge_cols = ["term", "term_hash", "doc_id", "tf", "doclen"]
+                merge_cols = ["term", "doc_id", "tf", "doclen"]
                 if cfg.store_positions:
                     merge_cols.append("pos")
+                is_hot = pc.field("term_hash").isin(hot_list)
                 if it["kind"] == "cold":
+                    filt = pc.field("shard_id") == pid
                     g = pads.dataset(run_paths).to_table(
                         columns=merge_cols,
-                        filter=pc.field("shard_id") == pid,
+                        filter=(filt & ~is_hot) if len(hot_list) else filt,
                     )
-                    if len(hot_list):
-                        g = g.filter(
-                            pc.invert(pc.is_in(g["term_hash"], value_set=hot_list))
-                        )
                     path = os.path.join(shards_dir, f"shard_{pid:05d}.parquet")
                 else:
                     g = pads.dataset(buckets[pid - num_shards]).to_table(
-                        columns=merge_cols,
-                        filter=pc.field("term_hash").isin(hot_list),
+                        columns=merge_cols, filter=is_hot,
                     )
                     path = os.path.join(hotparts_dir, f"part_{pid:06d}.parquet")
                 shard_table = build_group_table(
-                    g, cfg, n_docs, avgdl, hot_part=(it["kind"] != "cold")
+                    g, cfg, avgdl, hot_part=(it["kind"] != "cold")
                 )
-                _atomic_write_parquet(shard_table, path)
+                write_index_file(shard_table, path)
                 rows.append(
                     {
                         "shard_id": pid,
@@ -1098,7 +1103,7 @@ def build_index(
     if hot_sorted.size and not hotmerge_complete:
         t2 = time.time()
         out_path = merge_hot_parts(
-            hotparts_dir, shards_dir, n_docs, champion_m=cfg.champion_m,
+            hotparts_dir, shards_dir, champion_m=cfg.champion_m,
             champ_df_min=cfg.champ_df_min,
         )
         man.mark_stage(
@@ -1137,17 +1142,17 @@ def build_index(
 
 
 def merge_hot_parts(
-    hotparts_dir: str, shards_dir: str, n_docs: int, champion_m: int = 0,
+    hotparts_dir: str, shards_dir: str, champion_m: int = 0,
     champ_df_min: int = 0,
 ) -> str | None:
     """Concatenate each hot term's salted doc-range parts into one final
-    posting list with globally-correct df/idf/max_score.
+    posting list with its global df.
 
     Pure metadata work: parts are already compressed block runs over disjoint
-    increasing doc ranges, so the merge concatenates block lists (ordered by
-    doc_base) and rewrites max_score = idf(global df) * stored max_tf_norm —
-    no posting is decoded. Cost is O(hot terms × blocks-per-term metadata);
-    hot terms are the Zipf head, a tiny fixed set, so this runs driver-side.
+    increasing doc ranges, and blocks carry no idf, so the merge concatenates
+    block lists (ordered by doc_base) and sums df — no posting is decoded.
+    Cost is O(hot terms × blocks-per-term metadata); hot terms are the Zipf
+    head, a tiny fixed set, so this runs in the calling process.
     """
     if not os.path.isdir(hotparts_dir):
         return None
@@ -1158,61 +1163,44 @@ def merge_hot_parts(
     )
     if not part_files:
         return None
-    # fully vectorized: sort part rows by (term_hash, first block doc_base) —
+    # fully vectorized: sort part rows by (term, first block doc_base) —
     # after that, every term's blocks are already concatenated in doc order
-    # in the flattened struct array; only the per-term list offsets and the
-    # max_score field (now with the true global idf) need rebuilding.
+    # in the flattened struct array; only the per-term list offsets need
+    # rebuilding.
     t = pa.concat_tables(
         [pq.read_table(p) for p in part_files]
     ).combine_chunks()
     blocks = t["blocks"].combine_chunks()
     offs = blocks.offsets.to_numpy(zero_copy_only=False).astype(np.int64)
-    flat = blocks.flatten()
-    first_base = flat.field("doc_base").to_numpy(zero_copy_only=False)[offs[:-1]]
-    th = t["term_hash"].to_numpy(zero_copy_only=False)
-    order = np.lexsort((first_base, th))
-    t = t.take(pa.array(order))
+    first_base = blocks.flatten().field("doc_base").to_numpy(zero_copy_only=False)[offs[:-1]]
+    order = pc.sort_indices(
+        pa.table({"term": t["term"], "first_base": first_base}),
+        sort_keys=[("term", "ascending"), ("first_base", "ascending")],
+    )
+    t = t.take(order)
+    first_base = first_base[order.to_numpy()]
     blocks = t["blocks"].combine_chunks()
     offs = blocks.offsets.to_numpy(zero_copy_only=False).astype(np.int64)
     flat = blocks.flatten()
-    th = t["term_hash"].to_numpy(zero_copy_only=False)
+    terms = t["term"].combine_chunks()
+    term_codes = pc.dictionary_encode(terms).indices.to_numpy(zero_copy_only=False)
+    same_term = term_codes[1:] == term_codes[:-1]
     dfs = t["df"].to_numpy(zero_copy_only=False)
-    cfs = t["cf"].to_numpy(zero_copy_only=False)
-    n_blocks_per_row = np.diff(offs)
 
-    starts = np.flatnonzero(np.concatenate([[True], th[1:] != th[:-1]]))
+    starts = np.flatnonzero(np.concatenate([[True], ~same_term]))
     df_tot = np.add.reduceat(dfs, starts)
-    cf_tot = np.add.reduceat(cfs, starts)
     # disjointness check: within a term, each row's first base must follow
     # the previous row's last block doc_last
-    lasts_flat = flat.field("doc_last").to_numpy(zero_copy_only=False)
-    row_last = lasts_flat[offs[1:] - 1]
-    same_term = th[1:] == th[:-1]
-    if np.any(same_term & (first_base[order][1:] <= row_last[:-1])):
+    row_last = flat.field("doc_last").to_numpy(zero_copy_only=False)[offs[1:] - 1]
+    if np.any(same_term & (first_base[1:] <= row_last[:-1])):
         raise AssertionError("hot-term doc ranges overlap across salted parts")
 
-    idfs = np.array([bm25_idf(int(d), n_docs) for d in df_tot], np.float64)
-    blocks_per_term = np.add.reduceat(n_blocks_per_row, starts)
-    idf_of_block = np.repeat(idfs, blocks_per_term)
-    new_max = idf_of_block * flat.field("max_tf_norm").to_numpy(zero_copy_only=False)
-    fields = {f: flat.field(f) for f in
-              ("doc_base", "doc_last", "n", "max_tf_norm", "docs", "tfs")}
-    new_flat = pa.StructArray.from_arrays(
-        [fields["doc_base"], fields["doc_last"], fields["n"],
-         pa.array(new_max, pa.float64()), fields["max_tf_norm"],
-         fields["docs"], fields["tfs"]],
-        names=["doc_base", "doc_last", "n", "max_score", "max_tf_norm",
-               "docs", "tfs"],
-    )
+    blocks_per_term = np.add.reduceat(np.diff(offs), starts)
     new_offsets = np.concatenate([[0], np.cumsum(blocks_per_term)]).astype(np.int32)
     cols = {
-        "term": t["term"].combine_chunks().take(pa.array(starts)),
-        "term_hash": pa.array(th[starts], pa.int64()),
+        "term": terms.take(pa.array(starts)),
         "df": pa.array(df_tot, pa.int64()),
-        "cf": pa.array(cf_tot, pa.int64()),
-        "blocks": pa.ListArray.from_arrays(
-            pa.array(new_offsets, pa.int32()), new_flat
-        ),
+        "blocks": pa.ListArray.from_arrays(pa.array(new_offsets, pa.int32()), flat),
     }
     if champion_m > 0 and "champ_docs" in t.column_names:
         # champion re-merge: each salted part kept its top-m by impact over a
@@ -1224,9 +1212,7 @@ def merge_hot_parts(
         per_row = np.diff(cd.offsets.to_numpy(zero_copy_only=False).astype(np.int64))
         flat_docs = cd.flatten().to_numpy(zero_copy_only=False)
         flat_tfn = ct.flatten().to_numpy(zero_copy_only=False)
-        term_of_row = np.cumsum(
-            np.concatenate([[0], (th[1:] != th[:-1]).astype(np.int64)])
-        )
+        term_of_row = np.cumsum(np.concatenate([[0], ~same_term]))
         seg_counts = np.bincount(
             np.repeat(term_of_row, per_row), minlength=starts.size
         ).astype(np.int64)
@@ -1249,12 +1235,11 @@ def merge_hot_parts(
         # absolute, so part boundaries need no fix-up)
         ps = t["pos_stream"].combine_chunks()
         seg_offs = pa.array(
-            np.concatenate([starts, [len(th)]]).astype(np.int32), pa.int32()
+            np.concatenate([starts, [t.num_rows]]).astype(np.int32), pa.int32()
         )
         cols["pos_stream"] = pc.binary_join(
             pa.ListArray.from_arrays(seg_offs, ps), pa.scalar(b"", pa.binary())
         )
-    out = pa.table(cols)
     path = os.path.join(shards_dir, "shard_hot.parquet")
-    _atomic_write_parquet(out, path)
+    write_index_file(pa.table(cols), path)
     return path

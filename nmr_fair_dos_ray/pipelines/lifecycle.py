@@ -21,6 +21,12 @@ Semantics — FROZEN global stats (Lucene-consistent):
     * `refresh_stats` recomputes the stats over the compacted doc store in
       place (a metadata pass, no posting decode).
 
+Shard files store no idf-bearing value: block BM25 bounds are derived by
+the reader from each term's stored ``df``, the manifest's ``n_docs`` and the
+block's idf-free ``max_tf_norm`` (codec.py), so neither compaction nor
+refresh computes a bound. Every shard and doc-store rewrite goes through
+``index_build.write_index_file`` (zstd, hidden temp name, ``os.replace``).
+
 Append after compaction: an incremental `build_index(resume=True)` re-derives
 its base postings from the live shard files (`decode_shard_table`) and its
 n_docs / avgdl from the doc store, so it sees exactly what compaction and
@@ -52,6 +58,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
+
+from nmr_fair_dos_ray.codec import BLOCK_TYPE
 
 #: legacy single-file layout (read-compat only; never written anymore)
 TOMBSTONE_FILE = "tombstones.parquet"
@@ -343,15 +351,18 @@ def _compact_shard_table(
     ids_sorted: np.ndarray,
     dls_sorted: np.ndarray,
     cfg: dict,
-    stats: dict,
+    avgdl: float,
 ) -> tuple[pa.Table, int, int]:
     """One shard file minus tombstoned postings → (table, n_before, n_after).
 
-    Global stats are FROZEN (taken from the manifest as built): df/cf stay
-    as stored, idf and tf_norm use the as-built n_docs/avgdl — so block-max
-    bounds remain valid and search results are bit-identical to the
-    tombstone-masked index. Terms whose postings are all dead are dropped
-    (observably identical: their masked postings were already empty)."""
+    Global stats are FROZEN (the manifest's, as built): ``df`` stays as
+    stored and blocks are re-encoded with tf-norms under the manifest's
+    ``avgdl`` — so search results are bit-identical to the
+    tombstone-masked index, and the reader's derived block bounds stay
+    valid. Every other column (``term``, ``df``, and whatever else an
+    older build wrote) is frozen, filtered to the kept terms. Terms whose
+    postings are all dead are dropped (observably identical: their masked
+    postings were already empty)."""
     from nmr_fair_dos_ray.codec import encode_group_blocks, varint_position_lists
 
     n_terms = t.num_rows
@@ -368,19 +379,11 @@ def _compact_shard_table(
     kept_docs, kept_tfs = docs[keep], tfs[keep]
     pos_l = np.searchsorted(ids_sorted, kept_docs)
     kept_dls = dls_sorted[pos_l]
-    df_old = t["df"].to_numpy(zero_copy_only=False).astype(np.float64)
-    n_docs = float(stats["n_docs"])
-    idfs = np.log(1.0 + (n_docs - df_old + 0.5) / (df_old + 0.5))
-    # bounds must stay UPPER bounds vs the scorer's math.log-based idf: bump
-    # one ulp so a potential 1-ulp libm divergence can never under-bound
-    idfs = np.nextafter(idfs, np.inf)
 
     cols: dict[str, pa.Array] = {}
     cols["blocks"] = encode_group_blocks(
-        kept_docs, kept_tfs, kept_dls,
-        new_counts[keep_term], idfs[keep_term],
-        float(cfg["k1"]), float(cfg["b"]), float(stats["avgdl"]),
-        int(cfg["block_size"]),
+        kept_docs, kept_tfs, kept_dls, new_counts[keep_term],
+        float(cfg["k1"]), float(cfg["b"]), avgdl, int(cfg["block_size"]),
     )
 
     if "champ_docs" in t.column_names:
@@ -424,7 +427,7 @@ def _compact_shard_table(
     for name in t.schema.names:
         if name in cols:
             arrays.append(cols[name])
-        else:  # term / term_hash / df / cf — frozen, filtered to kept terms
+        else:  # term / df (and older builds' extras) — frozen, filtered
             arrays.append(t[name].combine_chunks().filter(keep_pa))
     return pa.table(dict(zip(t.schema.names, arrays))), n_before, int(keep.sum())
 
@@ -448,13 +451,15 @@ def compact_index(index_dir: str) -> dict:
     import ray
     import ray.data as rd
 
+    from nmr_fair_dos_ray.pipelines.index_build import write_index_file
+
     snap_paths = tombstone_segments(index_dir)
     tomb = read_tombstones(index_dir, paths=snap_paths)
     if tomb.size == 0:
         return {"files": 0, "postings_removed": 0, "docs_removed": 0}
     with open(os.path.join(index_dir, "manifest.json")) as f:
         manifest = json.load(f)
-    cfg, stats = manifest["config"], manifest["stats"]
+    cfg, avgdl = manifest["config"], float(manifest["stats"]["avgdl"])
     shards_dir = os.path.join(index_dir, "shards")
     docs_dir = os.path.join(index_dir, "docs")
     shard_files = sorted(
@@ -485,7 +490,7 @@ def compact_index(index_dir: str) -> dict:
             tbl = pq.read_table(path)
             if it["kind"] == "shard":
                 new, nb, na = _compact_shard_table(
-                    tbl, tomb_b, ids_sorted, dls_sorted, cfg, stats,
+                    tbl, tomb_b, ids_sorted, dls_sorted, cfg, avgdl,
                 )
             else:  # docs file: drop dead rows (postings already gone)
                 dead = _member(
@@ -496,9 +501,7 @@ def compact_index(index_dir: str) -> dict:
                 new = tbl.filter(pa.array(~dead))
                 na = new.num_rows
             if na != nb:
-                tmp = path + f".compact-{os.getpid()}"
-                pq.write_table(new, tmp)
-                os.replace(tmp, path)
+                write_index_file(new, path)
             rows.append({"path": path, "kind": it["kind"],
                          "n_before": int(nb), "n_after": int(na),
                          "wall_sec": time.time() - t0})
@@ -536,18 +539,17 @@ def refresh_stats(index_dir: str) -> dict:
 
     Recomputes, WITHOUT decoding a single posting:
       * ``n_docs`` / ``avgdl`` / ``sum_doclen`` from the (compacted) doc
-        store;
+        store (written to the manifest, last);
       * per-term ``df`` as the sum of its blocks' ``n`` counts (compaction
         already expunged dead postings, so physical count == live df);
-      * per-block ``max_score = idf_new * max_tf_norm * scale`` where
-        ``scale = max(1, avgdl_new / avgdl_old)`` — ``max_tf_norm`` (the
-        idf-free factor stored at build time, codec.py) absorbs the new
-        idf exactly, and the scale factor keeps the bound a TRUE upper
-        bound under the new avgdl (tf_norm grows by at most
-        avgdl_new/avgdl_old when avgdl grows, and shrinks when it
-        shrinks), so BMW stays lossless. ``max_tf_norm`` is rewritten
-        scaled to preserve the ``max_score == idf * max_tf_norm``
-        invariant.
+      * per-block ``max_tf_norm * scale`` where ``scale = max(1, avgdl_new
+        / avgdl_old)``: tf_norm grows by at most avgdl_new/avgdl_old when
+        avgdl grows, and shrinks when it shrinks, so the scaled value stays
+        an upper bound of every posting's tf_norm under the new avgdl.
+    No bound is written: the reader derives each block's bound as
+    ``idf(df, n_docs) * max_tf_norm`` from the df in the file and the
+    n_docs in the manifest, the same idf the scorer multiplies every
+    posting's tf_norm by, so BMW stays lossless.
 
     Champion lists are DROPPED: their stored tf_norm values are exact
     score contributions under the old avgdl and would inflate the BMW
@@ -562,16 +564,18 @@ def refresh_stats(index_dir: str) -> dict:
 
     Requires a compacted index (no outstanding tombstones): refreshing with
     tombstones present would count dead docs into df/avgdl. Per-file
-    rewrites are atomic (tmp + rename) and the manifest is written LAST, but
-    the pass as a whole is not: after a crash mid-pass, the shard files
-    already rewritten carry the new df while the manifest still holds the
-    old n_docs/avgdl, so searches score a mix of old and new stats until
-    the refresh is re-run. Re-running is safe: re-scaling an
-    already-rewritten file only loosens its block bounds (scale ≥ 1),
-    never invalidates them, so rankings converge to the no-crash result."""
+    rewrites are atomic (``write_index_file``) and the manifest is written
+    LAST, but the pass as a whole is not: after a crash mid-pass, the shard
+    files already rewritten carry the new df while the manifest still holds
+    the old n_docs/avgdl, so searches score a mix of old and new stats until
+    the refresh is re-run. Block bounds stay valid throughout: whatever df a
+    file holds, the reader's bound and the scorer use the same idf, and a
+    rewritten file's ``max_tf_norm`` was only scaled up. Re-running is safe
+    (re-scaling only loosens the bounds), so rankings converge to the
+    no-crash result."""
     import ray.data as rd
 
-    from nmr_fair_dos_ray.search.bm25 import bm25_idf
+    from nmr_fair_dos_ray.pipelines.index_build import write_index_file
 
     tomb = read_tombstones(index_dir)
     if tomb.size:
@@ -611,24 +615,15 @@ def refresh_stats(index_dir: str) -> dict:
             b_n = flat.field("n").to_numpy(zero_copy_only=False).astype(np.int64)
             # df = live postings per term (post-compaction physical count);
             # prefix-sum difference handles zero-block terms cleanly
-            cs = np.concatenate([[0], np.cumsum(b_n)])
-            df_new = cs[offs[1:]] - cs[offs[:-1]]
-            idf = np.array(
-                [bm25_idf(int(d), n_docs_new) for d in df_new], np.float64
+            df_new = _seg_sum(b_n, offs)
+            new_tfn = pa.array(
+                flat.field("max_tf_norm").to_numpy(zero_copy_only=False) * scale
             )
-            tfn = flat.field("max_tf_norm").to_numpy(zero_copy_only=False)
-            new_tfn = tfn * scale
-            new_max = np.repeat(idf, np.diff(offs)) * new_tfn
+            # BLOCK_TYPE's fields only: an older build's stored bound goes
             struct = pa.StructArray.from_arrays(
-                [
-                    flat.field("doc_base"), flat.field("doc_last"),
-                    flat.field("n"),
-                    pa.array(new_max, pa.float64()),
-                    pa.array(new_tfn, pa.float64()),
-                    flat.field("docs"), flat.field("tfs"),
-                ],
-                names=["doc_base", "doc_last", "n", "max_score",
-                       "max_tf_norm", "docs", "tfs"],
+                [new_tfn if f.name == "max_tf_norm" else flat.field(f.name)
+                 for f in BLOCK_TYPE],
+                fields=list(BLOCK_TYPE),
             )
             new_blocks = pa.ListArray.from_arrays(blocks.offsets, struct)
             cols = {}
@@ -641,10 +636,7 @@ def refresh_stats(index_dir: str) -> dict:
                     continue  # stale under the new avgdl — dropped
                 else:
                     cols[name] = tbl[name]
-            new_tbl = pa.table(cols)
-            tmp = path + f".refresh-{os.getpid()}"
-            pq.write_table(new_tbl, tmp)
-            os.replace(tmp, path)
+            write_index_file(pa.table(cols), path)
             rows.append({"path": path, "n_terms": len(tbl),
                          "n_postings": int(b_n.sum())})
         return pa.Table.from_pylist(rows)

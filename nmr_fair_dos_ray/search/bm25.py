@@ -46,9 +46,10 @@ def bm25_term_scores(
     tf = np.asarray(tfs, dtype=np.float64)
     dl = np.asarray(doclens, dtype=np.float64)
     denom = tf + k1 * (1.0 - b + b * dl / avgdl)
-    # NOTE: parenthesized so score == idf * tf_norm BIT-exactly — the stored
-    # block-max bound is idf * max_tf_norm (codec.py), and (idf*num)/denom
-    # can land 1 ulp above idf*(num/denom), breaking BMW's <= pruning.
+    # NOTE: parenthesized so score == idf * tf_norm BIT-exactly — the
+    # reader's block-max bound is idf * max_tf_norm (codec.py), and
+    # (idf*num)/denom can land 1 ulp above idf*(num/denom), breaking BMW's
+    # <= pruning.
     return idf * ((tf * (k1 + 1.0)) / denom)
 
 
@@ -58,8 +59,8 @@ def bm25_tf_norm(
     """The idf-free factor of BM25: tf*(k1+1)/(tf + k1*(1-b+b*dl/avgdl)).
 
     ``bm25_term_scores == idf * bm25_tf_norm`` exactly (one float64 multiply),
-    which is what lets block-max metadata be finalized after a salted hot-term
-    merge once the global df is known.
+    which is what lets blocks store only this factor's max and the reader
+    derive their bounds from the index's current df and n_docs.
     """
     tf = np.asarray(tfs, dtype=np.float64)
     dl = np.asarray(doclens, dtype=np.float64)

@@ -16,9 +16,12 @@ in ``search/distributed.py``; every surface routes a query mode through the
 one dispatch :func:`run_query`.
 
 The reader keeps the index Arrow/numpy-resident: term lookup is one dict
-probe; block metadata (doc_base/doc_last/max_score) are flat numpy arrays
+probe; block metadata (doc_base/doc_last/block max) are flat numpy arrays
 with per-term offsets; compressed posting bytes stay in the Arrow buffers
 read (memory-mapped) from the shard files, decoded per block on demand.
+Block-max bounds are derived at load (``IndexReader.build_state``) as the
+scorer's idf times the stored idf-free block max, so they are valid for
+whatever stats the manifest holds.
 
 Determinism: scores are float64; per-doc accumulation order is the
 lexicographic order of the unique query terms in BOTH algorithms, so TAAT,
@@ -37,7 +40,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
-from nmr_fair_dos_ray.codec import varint_decode
+from nmr_fair_dos_ray.codec import BLOCK_TYPE, varint_decode
 
 _MISS = object()  # sentinel distinguishing "not cached" from "cached None"
 from nmr_fair_dos_ray.search.bm25 import bm25_idf, bm25_term_scores
@@ -86,6 +89,41 @@ class _TermsView:
     def items(self):
         for term in self:
             yield term, self[term]
+
+
+#: the shard-file columns a reader reads (``champ_*`` and ``pos_stream``
+#: only in indexes built with champion lists / positions); files of older
+#: builds also carry ``term_hash``, ``cf`` and a stored block ``max_score``,
+#: which are ignored
+SHARD_COLUMNS = ("term", "df", "blocks", "champ_docs", "champ_tfn", "pos_stream")
+
+
+def _read_shard(path: str) -> pa.Table:
+    """One shard file as the reader sees it: :data:`SHARD_COLUMNS` only,
+    blocks as ``codec.BLOCK_TYPE`` (an older build's stored bound dropped)."""
+    pf = pq.ParquetFile(path, memory_map=True)
+    t = pf.read(columns=[c for c in pf.schema_arrow.names if c in SHARD_COLUMNS])
+    i = t.schema.get_field_index("blocks")
+    if t.schema.field(i).type != pa.list_(BLOCK_TYPE):
+        blocks = t["blocks"].combine_chunks()
+        flat = blocks.flatten()
+        t = t.set_column(i, "blocks", pa.ListArray.from_arrays(
+            blocks.offsets,
+            pa.StructArray.from_arrays([flat.field(f.name) for f in BLOCK_TYPE],
+                                       fields=list(BLOCK_TYPE)),
+        ))
+    return t
+
+
+def _block_bounds(df: np.ndarray, boff: np.ndarray, b_maxtf: np.ndarray,
+                  n_docs: int) -> np.ndarray:
+    """Per-block BM25 upper bound ``bm25_idf(df, n_docs) * max_tf_norm`` —
+    bit for bit the product the scorer forms for the block's best posting
+    (``bm25_term_scores``: the same scalar idf times its tf-norm), so the
+    bound holds by construction. The scalar idf runs once per distinct df."""
+    u, inv = np.unique(df, return_inverse=True)
+    idf = np.array([bm25_idf(int(d), n_docs) for d in u], np.float64)
+    return np.repeat(idf[inv], np.diff(boff)) * b_maxtf
 
 
 class IndexReader:
@@ -170,9 +208,11 @@ class IndexReader:
         if os.path.isdir(shards_dir):
             for p in sorted(os.listdir(shards_dir)):
                 if p.endswith(".parquet"):
-                    tables.append(pq.read_table(os.path.join(shards_dir, p),
-                                                memory_map=True))
-        t = pa.concat_tables(tables).combine_chunks() if tables else None
+                    tables.append(_read_shard(os.path.join(shards_dir, p)))
+        # null-filling promotion: a refresh cut short leaves the files it
+        # rewrote without champion lists and the rest with theirs
+        t = (pa.concat_tables(tables, promote_options="default").combine_chunks()
+             if tables else None)
         st: dict = {"manifest": manifest, "c_off": None, "c_docs": None}
         st["c_tfn"] = None
         if t is not None and "champ_docs" in t.column_names:
@@ -206,16 +246,22 @@ class IndexReader:
             terms = t["term"].combine_chunks()
             blocks = t["blocks"].combine_chunks()
             flat = blocks.flatten()
+            df = t["df"].to_numpy(zero_copy_only=False)
+            boff = blocks.offsets.to_numpy(zero_copy_only=False).astype(np.int64)
+            b_maxtf = flat.field("max_tf_norm").to_numpy(zero_copy_only=False)
             st.update(
                 terms=terms,
                 order=pc.sort_indices(terms).to_numpy(zero_copy_only=False).astype(np.int64),
-                df=t["df"].to_numpy(zero_copy_only=False),
-                boff=blocks.offsets.to_numpy(zero_copy_only=False).astype(np.int64),
+                df=df,
+                boff=boff,
                 b_base=flat.field("doc_base").to_numpy(zero_copy_only=False),
                 b_last=flat.field("doc_last").to_numpy(zero_copy_only=False),
                 b_n=flat.field("n").to_numpy(zero_copy_only=False),
-                b_max=flat.field("max_score").to_numpy(zero_copy_only=False),
-                b_maxtf=flat.field("max_tf_norm").to_numpy(zero_copy_only=False),
+                # derived before any doc-range slicing: the pool, QueryScorer
+                # and the local Searcher share these bounds
+                b_max=_block_bounds(df, boff, b_maxtf,
+                                    int(manifest["stats"]["n_docs"])),
+                b_maxtf=b_maxtf,
                 b_docs=flat.field("docs"),
                 b_tfs=flat.field("tfs"),
             )

@@ -55,14 +55,16 @@ def test_block_roundtrip_and_max_score():
     tfs = rng.randint(1, 40, size=n).astype(np.int64)
     doclens = rng.randint(10, 500, size=n).astype(np.int64)
     idf = bm25_idf(n, 100000)
-    blocks = encode_blocks(doc_ids, tfs, doclens, idf, 1.2, 0.75, 120.0, block_size=128)
+    blocks = encode_blocks(doc_ids, tfs, doclens, 1.2, 0.75, 120.0, block_size=128)
     assert len(blocks) == (n + 127) // 128
     all_docs, all_tfs = [], []
     for b in blocks:
         d, f = decode_block(b)
         assert d[0] == b["doc_base"] and d[-1] == b["doc_last"] and len(d) == b["n"]
         s = bm25_term_scores(f, doclens[len(np.concatenate(all_docs)) if all_docs else 0:][: len(f)], idf, 1.2, 0.75, 120.0)
-        assert b["max_score"] >= s.max() - 1e-15
+        # the reader's derived bound, exact (no tolerance): bm25 keeps the
+        # score == idf * tf_norm association
+        assert idf * b["max_tf_norm"] >= s.max()
         all_docs.append(d)
         all_tfs.append(f)
     assert np.concatenate(all_docs).tolist() == doc_ids.tolist()
@@ -74,8 +76,7 @@ def test_encode_group_blocks_matches_per_term():
     per-term reference encoder (same blocks, same bytes, same maxes)."""
     import numpy as np
 
-    from nmr_fair_dos_ray.codec import encode_blocks, encode_group_blocks
-    from nmr_fair_dos_ray.search.bm25 import bm25_idf
+    from nmr_fair_dos_ray.codec import BLOCK_TYPE, encode_blocks, encode_group_blocks
 
     rng = np.random.RandomState(7)
     counts = np.array([1, 3, 130, 128, 300, 2, 129])
@@ -88,12 +89,14 @@ def test_encode_group_blocks_matches_per_term():
     doc_ids = np.concatenate(docs_l)
     tfs = np.concatenate(tfs_l)
     dls = np.concatenate(dls_l)
-    n_docs, avgdl, k1, b = 100000, 220.5, 1.2, 0.75
-    idfs = np.array([bm25_idf(int(c), n_docs) for c in counts])
-    got = encode_group_blocks(doc_ids, tfs, dls, counts, idfs, k1, b, avgdl).to_pylist()
+    avgdl, k1, b = 220.5, 1.2, 0.75
+    got = encode_group_blocks(doc_ids, tfs, dls, counts, k1, b, avgdl).to_pylist()
+    keys = [f.name for f in BLOCK_TYPE]
+    assert keys == ["doc_base", "doc_last", "n", "max_tf_norm", "docs", "tfs"]
     for i, c in enumerate(counts):
-        want = encode_blocks(docs_l[i], tfs_l[i], dls_l[i], idfs[i], k1, b, avgdl)
+        want = encode_blocks(docs_l[i], tfs_l[i], dls_l[i], k1, b, avgdl)
         assert len(got[i]) == len(want)
         for gb, wb in zip(got[i], want):
-            for k in ("doc_base", "doc_last", "n", "max_score", "max_tf_norm", "docs", "tfs"):
+            assert sorted(gb) == sorted(wb) == sorted(keys), i
+            for k in keys:
                 assert gb[k] == wb[k], (i, k)

@@ -1,0 +1,277 @@
+"""On-disk format of the searchable index.
+
+Shard files store only what a reader cannot recompute (term, df, the
+idf-free block max and the compressed blocks); the reader derives every
+block's BM25 bound at load from the manifest's n_docs. Every shard and
+doc-store file is zstd parquet written through one atomic writer whose temp
+name directory readers skip. Indexes written before that layout (with
+``term_hash``, ``cf`` and a stored ``max_score``, Snappy-compressed) read,
+compact, refresh and append to the same results.
+"""
+
+import json
+import os
+import shutil
+
+import numpy as np
+import pyarrow as pa
+import pyarrow.parquet as pq
+import pytest
+
+from nmr_fair_dos_ray.codec import BLOCK_TYPE
+from nmr_fair_dos_ray.pipelines.index_build import (
+    IndexConfig, build_index, write_index_file,
+)
+from nmr_fair_dos_ray.pipelines.lifecycle import (
+    compact_index, decode_shard_table, delete_docs, refresh_stats,
+)
+from nmr_fair_dos_ray.search.bm25 import bm25_idf, bm25_term_scores
+from nmr_fair_dos_ray.search.engine import (
+    SHARD_COLUMNS, IndexReader, Searcher, fetch_docs,
+)
+from nmr_fair_dos_ray.tokenizer import term_hash
+
+CFG = IndexConfig(
+    id_col="did", token_cols=("path", "lang"), field_cols=("repo", "lang"),
+    stored_cols=("repo", "path"), num_shards=4, store_positions=True,
+    champion_m=4, hot_df_threshold=8, n_salts=3,
+)
+QUERIES = ["def return self", "user name config", "get set value",
+           "import data", "getUserName merge"]
+
+
+def _files(d: str, sub: str) -> list[str]:
+    p = os.path.join(d, sub)
+    return sorted(os.path.join(p, f) for f in os.listdir(p) if f.endswith(".parquet"))
+
+
+def _corpus(sf_unit) -> pa.Table:
+    t = pq.read_table(sf_unit["corpus"])
+    return t.append_column("did", pa.array(np.arange(t.num_rows, dtype=np.int64)))
+
+
+def _build(sf_unit, root) -> tuple[str, str]:
+    """A salted build (hot parts merged) with champions and positions, over
+    a one-file corpus dir -> (corpus dir, index dir)."""
+    src = root / "src"
+    src.mkdir()
+    pq.write_table(_corpus(sf_unit), src / "part_000.parquet")
+    idx = str(root / "idx")
+    man = build_index(str(src), idx, CFG)
+    assert man["stages"]["hot"]["n_hot"] > 0
+    return str(src), idx
+
+
+@pytest.fixture(scope="module")
+def built(sf_unit, tmp_path_factory):
+    return _build(sf_unit, tmp_path_factory.mktemp("fmt"))[1]
+
+
+def _bounds_cover_scores(r: IndexReader) -> None:
+    """Every block bound in the reader's view is ≥ every posting score the
+    reader's scorer gives in that block."""
+    for tid in range(len(r._terms_arr)):
+        j0, j1 = int(r._boff[tid]), int(r._boff[tid + 1])
+        docs, tfs = r._decode_range(j0, j1)
+        idf = bm25_idf(int(r._df[tid]), r.n_docs)
+        s = bm25_term_scores(tfs, r.doclens(docs), idf, r.k1, r.b, r.avgdl)
+        starts = np.concatenate([[0], np.cumsum(r._b_n[j0:j1])[:-1]])
+        block_max = np.maximum.reduceat(s, starts)
+        bad = block_max > r._b_max[j0:j1]
+        assert not bad.any(), (r._terms_arr[tid].as_py(), block_max[bad],
+                               r._b_max[j0:j1][bad])
+
+
+# ------------------------------------------------------------ format guard
+def test_index_files_are_zstd_with_reader_columns_only(built):
+    idx = built
+    shard_files, docs_files = _files(idx, "shards"), _files(idx, "docs")
+    assert any(f.endswith("shard_hot.parquet") for f in shard_files)
+    for path in shard_files + docs_files:
+        md = pq.ParquetFile(path).metadata
+        for i in range(md.num_row_groups):
+            for j in range(md.num_columns):
+                assert md.row_group(i).column(j).compression == "ZSTD", (path, j)
+    for path in shard_files:
+        schema = pq.read_schema(path)
+        # champions and positions are on, so every reader column is there
+        assert sorted(schema.names) == sorted(SHARD_COLUMNS), path
+        assert schema.field("blocks").type == pa.list_(BLOCK_TYPE), path
+
+
+def test_derived_block_max_is_idf_times_max_tf_norm(built):
+    idx = built
+    r = IndexReader(idx)
+    per_block_df = np.repeat(r._df, np.diff(r._boff))
+    want = np.array([bm25_idf(int(d), r.n_docs) for d in per_block_df]) * r._b_maxtf
+    assert r._b_max.dtype == np.float64
+    np.testing.assert_array_equal(r._b_max, want)
+    _bounds_cover_scores(r)
+
+
+# ------------------------------------------------ crash leftovers in docs/
+def test_crash_leftover_in_docs_is_not_read(built, tmp_path, durable_writes):
+    """A doc-store rewrite that crashes between write and rename leaves its
+    temp file in docs/; readers scanning the directory must not load it."""
+    idx = str(tmp_path / "idx")
+    shutil.copytree(built, idx)
+    n_docs = IndexReader(idx)._doc_ids_sorted.size
+    docs0 = _files(idx, "docs")[0]
+    durable_writes.crash_at(os.path.basename(docs0), 1)
+    with pytest.raises(durable_writes.error):
+        write_index_file(pq.read_table(docs0), docs0)
+    assert len(os.listdir(os.path.dirname(docs0))) == len(_files(idx, "docs")) + 1
+
+    r = IndexReader(idx)
+    assert r._doc_ids_sorted.size == n_docs
+    top = [d for d, _ in Searcher(r).search(QUERIES[0], k=10)]
+    assert len(top) == 10
+    assert fetch_docs(idx, top, ["repo"])["doc_id"].to_pylist() == sorted(top)
+
+
+# ------------------------------------------------ half-refreshed index
+@pytest.mark.parametrize("champion_m", [0, 4])
+def test_bounds_valid_on_half_refreshed_index(sf_unit, tmp_path, champion_m):
+    """A refresh cut short leaves some shard files with the new df while
+    the manifest keeps the old n_docs/avgdl. Deleting the longest docs
+    shrinks avgdl (so the refresh scales nothing): block bounds in the
+    reader's view must still cover every posting score, and BMW must equal
+    TAAT."""
+    src = str(tmp_path / "corpus.parquet")
+    pq.write_table(_corpus(sf_unit), src)
+    cfg = IndexConfig(
+        id_col="did", token_cols=("path", "lang"), field_cols=("repo", "lang"),
+        stored_cols=("repo",), num_shards=4, champion_m=champion_m,
+        block_size=16,
+    )
+    idx = str(tmp_path / "idx")
+    build_index(src, idx, cfg)
+    r0 = IndexReader(idx)
+    longest = r0._doc_ids_sorted[np.argsort(-r0._doclens_sorted, kind="stable")]
+    delete_docs(idx, longest[: r0.n_docs // 5])
+    compact_index(idx)
+    refreshed = str(tmp_path / "refreshed")
+    shutil.copytree(idx, refreshed)
+    out = refresh_stats(refreshed)
+    assert out["bound_scale"] == 1.0 and out["n_docs"] < r0.n_docs
+    shard_files = _files(refreshed, "shards")
+    for path in shard_files[: len(shard_files) // 2]:
+        shutil.copy(path, os.path.join(idx, "shards", os.path.basename(path)))
+
+    r = IndexReader(idx)
+    assert r.n_docs == r0.n_docs  # the manifest still holds the old stats
+    _bounds_cover_scores(r)
+    s = Searcher(r)
+    queries = [q["query"] for q in pq.read_table(sf_unit["queries"]).to_pylist()]
+    for q in queries + QUERIES:
+        assert s.search(q, k=10, algorithm="bmw") == \
+            s.search(q, k=10, algorithm="taat"), q
+
+
+# ------------------------------------------------ older-format indexes
+def _to_old_format(idx: str) -> None:
+    """Rewrite an index's shard and doc-store files the way builds before
+    the slim layout wrote them: shards with ``term_hash``, ``cf`` and a
+    stored block ``max_score``; every file Snappy-compressed."""
+    with open(os.path.join(idx, "manifest.json")) as f:
+        n_docs = int(json.load(f)["stats"]["n_docs"])
+    old_block = pa.struct(
+        [("doc_base", pa.int64()), ("doc_last", pa.int64()), ("n", pa.int32()),
+         ("max_score", pa.float64()), ("max_tf_norm", pa.float64()),
+         ("docs", pa.binary()), ("tfs", pa.binary())]
+    )
+    for path in _files(idx, "shards"):
+        t = pq.read_table(path)
+        counts, _, tfs, _ = decode_shard_table(t)
+        blocks = t["blocks"].combine_chunks()
+        flat = blocks.flatten()
+        df = t["df"].to_numpy(zero_copy_only=False)
+        idf = np.array([bm25_idf(int(d), n_docs) for d in df], np.float64)
+        tfn = flat.field("max_tf_norm").to_numpy(zero_copy_only=False)
+        max_score = np.repeat(idf, np.diff(blocks.offsets.to_numpy())) * tfn
+        fields = {f.name: flat.field(f.name) for f in BLOCK_TYPE}
+        fields["max_score"] = pa.array(max_score)
+        old_blocks = pa.ListArray.from_arrays(
+            blocks.offsets,
+            pa.StructArray.from_arrays([fields[f.name] for f in old_block],
+                                       fields=list(old_block)),
+        )
+        term_row = np.repeat(np.arange(t.num_rows), counts)
+        cols = {
+            "term": t["term"],
+            "term_hash": pa.array(term_hash(t["term"]).view(np.int64)),
+            "df": t["df"],
+            "cf": pa.array(np.bincount(term_row, tfs, t.num_rows).astype(np.int64)),
+            "blocks": old_blocks,
+        }
+        for name in ("champ_docs", "champ_tfn", "pos_stream"):
+            if name in t.column_names:
+                cols[name] = t[name]
+        pq.write_table(pa.table(cols), path, compression="snappy")
+    for path in _files(idx, "docs"):
+        pq.write_table(pq.read_table(path), path, compression="snappy")
+
+
+def _assert_same_results(a: str, b: str, pool: bool = False) -> None:
+    ra, rb = IndexReader(a), IndexReader(b)
+    assert (ra.n_docs, ra.avgdl) == (rb.n_docs, rb.avgdl)
+    assert list(ra.terms) == list(rb.terms)
+    np.testing.assert_array_equal(ra._b_max, rb._b_max)
+    sa, sb = Searcher(ra), Searcher(rb)
+    for q in QUERIES:
+        for algo in ("bmw", "taat"):
+            assert sa.search(q, k=10, algorithm=algo) == \
+                sb.search(q, k=10, algorithm=algo), (q, algo)
+    for phrase in ("user name", "def return"):
+        assert sa.search_phrase(phrase, k=20) == sb.search_phrase(phrase, k=20)
+    if pool:
+        from nmr_fair_dos_ray.search.distributed import DocShardedSearcher
+
+        pa_, pb_ = DocShardedSearcher(a, pool_size=2), DocShardedSearcher(b, pool_size=2)
+        try:
+            for q in QUERIES:
+                want = sb.search(q, k=10)
+                assert pa_.search(q, k=10) == pb_.search(q, k=10) == want, q
+        finally:
+            pa_.shutdown()
+            pb_.shutdown()
+
+
+def test_old_format_index_reads_and_evolves_like_new(sf_unit, tmp_path):
+    """An index in the older layout gives bit-equal results (bmw, taat,
+    phrase, the pool at P=2), and delete → compact → refresh_stats → append
+    of one more file leaves it equal to the same sequence on the new
+    layout."""
+    src, new = _build(sf_unit, tmp_path)
+    old = str(tmp_path / "old")
+    shutil.copytree(new, old)
+    _to_old_format(old)
+    assert "max_score" in str(pq.read_schema(_files(old, "shards")[0]))
+    _assert_same_results(old, new, pool=True)
+
+    victims = sorted({d for q in QUERIES for d, _ in
+                      Searcher(IndexReader(new)).search(q, k=5)})
+    corpus = _corpus(sf_unit)
+    n = corpus.num_rows
+    extra = corpus.slice(0, 40)
+    extra = extra.set_column(extra.column_names.index("did"), "did",
+                             pa.array(np.arange(n, n + 40, dtype=np.int64)))
+    for d in (new, old):
+        delete_docs(d, victims)
+        compact_index(d)
+    _assert_same_results(old, new)
+    for d in (new, old):
+        refresh_stats(d)
+    _assert_same_results(old, new)
+    pq.write_table(extra, os.path.join(src, "part_001.parquet"))
+    for d in (new, old):
+        docs0 = os.path.join(d, "docs", "docs_000000.parquet")
+        mtime = os.stat(docs0).st_mtime_ns
+        man = build_index(src, d, CFG, resume=True)
+        assert "base" in man["stages"]  # an append, not a rebuild
+        assert os.stat(docs0).st_mtime_ns == mtime
+    _assert_same_results(old, new)
+    ra, rb = IndexReader(old), IndexReader(new)
+    for term in rb.terms:
+        for x, y in zip(ra.postings(term), rb.postings(term)):
+            np.testing.assert_array_equal(x, y)
