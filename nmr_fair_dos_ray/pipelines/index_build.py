@@ -8,8 +8,12 @@ with a native build, per BASELINE.json north_star:
 Phase 1 (stateless tasks, one per Parquet row group — the SPIMI "invert" pass):
     read row group → assign deterministic doc_ids (prefix-sum base from the
     footer scout, see sources/parquet_source.py) → sha256(content) invariant →
-    vectorized code-aware tokenization → per-(doc, term) tf aggregation →
-    write one *posting run* file + one *docs* file per row group (atomic
+    vectorized code-aware tokenization into ONE term dictionary per batch
+    (content and token columns; the stream arrives in (row, position) order
+    as integer term ids) → per-(doc, term) aggregation on the integer key
+    ``row * n_terms + id``: one stable sort, tf = run length, positions
+    already ascending, term strings and hashes gathered from the dictionary
+    → write one *posting run* file + one *docs* file per row group (atomic
     rename, write-once ⇒ per-partition checkpoint), return a manifest row.
     Runs are build scratch: the docs files are the doc store the reader
     loads, and N / avgdl are read from its ``doclen`` column.
@@ -27,8 +31,9 @@ Phase 2 (the SPIMI merge — a storage-backed map-side shuffle):
     store and measured ~10× slower than the row-group-pruned direct reads;
     write-once shuffle files are also what makes the merge stage itself
     resumable per shard. Hot terms (detected from per-run df sidecars) are
-    excluded from the cold shards and merged by ``n_salts`` run-bucket
-    tasks over contiguous doc ranges, then concatenated (phase 3).
+    excluded from the cold shards and merged by run-bucket tasks over
+    contiguous doc ranges — as many as the hot posting volume asks for at
+    ≈250k postings each, at least ``n_salts`` — then concatenated (phase 3).
 
 On disk only the searchable index stays: ``shards/`` (cold shards plus
 ``shard_hot.parquet``), ``docs/``, ``manifest.json`` and the invert partition
@@ -67,7 +72,7 @@ Scale notes (100 TB / 10^12 rows):
     lists by manifest path instead of task closure;
   - Zipfian hot terms (`def`, `self`, …) would otherwise serialize one
     shard's merge; terms with df ≥ hot_df_threshold are salted into
-    ``n_salts`` doc-range buckets (runs are doc-contiguous), merged
+    doc-range buckets sized by volume (runs are doc-contiguous), merged
     independently, and concatenated — sub-lists stay disjoint and sorted;
   - phase-1 output is partitioned by input row group ⇒ a failed run resumes
     by skipping finished row groups; phase 2 resumes per shard/bucket;
@@ -113,13 +118,14 @@ class IndexConfig:
     # ---- hot-term skew handling (north_rule: salted repartitioning) ----
     # Zipfian heads (`def`, `self`, `the`, …) otherwise serialize the shard
     # merge: one term's postings all land in one map_groups task. With
-    # salting, terms whose df ≥ hot_df_threshold are rerouted to n_salts
-    # disjoint doc-range sub-groups, merged independently, and concatenated
-    # (ranges are disjoint + sorted) in a cheap final pass that fixes df
-    # globally.
+    # salting, terms whose df ≥ hot_df_threshold are rerouted to disjoint
+    # doc-range sub-groups, merged independently, and concatenated (ranges
+    # are disjoint + sorted) in a cheap final pass that fixes df globally.
+    # The sub-group count follows the hot posting volume (≈250k postings
+    # per task); n_salts is its MINIMUM.
     salt_hot_terms: bool = True
     hot_df_threshold: int | None = None  # None → max(1024, n_docs // 8)
-    n_salts: int = 8
+    n_salts: int = 1
     # ---- champion lists (static-pruning experiment, VERDICT r2 item 8) ----
     # champion_m > 0 stores, per term, the doc_ids + stored tf_norm of its
     # top-m postings by impact (BM25 tf-norm; idf is constant within a term
@@ -204,33 +210,10 @@ def _bin_from_lengths(byte_lens: np.ndarray, data: np.ndarray) -> pa.Array:
     )
 
 
-def _encode_position_lists(pos_list: pa.ChunkedArray | pa.Array) -> pa.Array:
-    """Per-posting position lists -> per-posting varint byte strings.
-
-    Each list is sorted ascending (group_by("list") preserves input order,
-    which in code mode interleaves compound/part occurrences), delta-encoded
-    (first value raw, then gaps — strictly positive: a term occupies a stream
-    slot at most once), LEB128-varint packed. One vectorized pass, no per-
-    posting loop.
-    """
-    arr = pos_list.combine_chunks() if isinstance(pos_list, pa.ChunkedArray) else pos_list
-    n = len(arr)
-    lens = pc.list_value_length(arr).to_numpy(zero_copy_only=False).astype(np.int64)
-    flat_a = arr.flatten()
-    flat = (flat_a.combine_chunks() if isinstance(flat_a, pa.ChunkedArray) else flat_a
-            ).to_numpy(zero_copy_only=False).astype(np.int64)
-    if flat.size == 0:
-        return pa.array([b""] * n, pa.binary())
-    seg = np.repeat(np.arange(n, dtype=np.int64), lens)
-    order = np.lexsort((flat, seg))
-    data, byte_lens = varint_position_lists(flat[order], lens)
-    return _bin_from_lengths(byte_lens, data)
-
-
 class Phase1Invert:
     """map_batches callable over work items (batch_size=1): the SPIMI invert.
 
-    Stateful actor-pool stage: the tokenizer (compiled regexes) is built once
+    Stateful actor-pool stage: the tokenizer is built once
     per actor in ``__init__`` (SURVEY.md §2.5), work happens per batch.
     """
 
@@ -281,54 +264,51 @@ class Phase1Invert:
             pa.string(),
         )
 
-        # ---- tokenize content + extra token columns (vectorized) ----
+        # ---- tokenize content + extra token columns into ONE dictionary ----
         want_pos = cfg.store_positions
-        rows_parts = []
-        terms_parts = []
-        pos_parts = []
+        rows_parts, ids_parts, pos_parts, dicts = [], [], [], []
+        n_seen = 0
         stream_base = np.zeros(n, np.int64)  # per-row next-stream offset
-        for src_i, col_arr in enumerate(
-            [content] + [t[col].cast(pa.string()) for col in cfg.token_cols]
-        ):
-            r2, tm2, p2 = self.tok.batch_token_positions(col_arr, with_positions=want_pos)
-            rows_parts.append(r2); terms_parts.append(tm2)
+        for col_arr in [content] + [t[col].cast(pa.string()) for col in cfg.token_cols]:
+            r2, id2, p2, d2 = self.tok.batch_token_ids(col_arr, with_positions=want_pos)
+            rows_parts.append(r2)
+            ids_parts.append(id2.astype(np.int64) + n_seen)
+            dicts.append(d2)
+            n_seen += len(d2)
             if want_pos:
                 pos_parts.append(p2 + stream_base[r2])
                 stream_base += np.bincount(r2, minlength=n) + POS_STREAM_GAP
         rows = np.concatenate(rows_parts)
-        terms = pa.concat_arrays(
-            [x.combine_chunks() if isinstance(x, pa.ChunkedArray) else x for x in terms_parts]
-        )
+        ids = np.concatenate(ids_parts)
+        if len(dicts) > 1:
+            enc = pc.dictionary_encode(pa.concat_arrays(dicts))
+            ids = enc.indices.to_numpy(zero_copy_only=False).astype(np.int64)[ids]
+            terms = enc.dictionary
+        else:
+            terms = dicts[0]
         doclens = np.bincount(rows, minlength=n).astype(np.int32)
 
-        # ---- per-(row, term) tf via Arrow group_by (C++ hash aggregation) ----
+        # ---- per-(row, term) postings: stable sort of integer keys ----
+        # the stream is in (source, row, position) order and later sources
+        # sit at higher positions, so each posting's positions stay
+        # ascending; tf is the run length of its key
+        n_terms = max(1, len(terms))
+        key = rows * n_terms + ids
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        run_start = np.flatnonzero(np.diff(key, prepend=-1))
+        p_tf = np.diff(np.append(run_start, key.size)).astype(np.int32)
+        p_row, p_id = np.divmod(key[run_start], n_terms)
+        p_term = terms.take(pa.array(p_id))
         p_pos_bin: pa.Array | None = None
-        if len(terms):
-            if want_pos:
-                pairs = pa.table({
-                    "row": pa.array(rows), "term": terms,
-                    "pos": pa.array(np.concatenate(pos_parts)),
-                })
-                agg = pairs.group_by(["row", "term"]).aggregate(
-                    [("term", "count"), ("pos", "list")]
-                )
-                p_pos_bin = _encode_position_lists(agg["pos_list"])
-            else:
-                pairs = pa.table({"row": pa.array(rows), "term": terms})
-                agg = pairs.group_by(["row", "term"]).aggregate([("term", "count")])
-            p_row = agg["row"].to_numpy(zero_copy_only=False)
-            p_term = agg["term"].combine_chunks() if isinstance(agg["term"], pa.ChunkedArray) else agg["term"]
-            p_tf = agg["term_count"].to_numpy(zero_copy_only=False).astype(np.int32)
-        else:
-            p_row = np.empty(0, np.int64)
-            p_term = pa.array([], pa.string())
-            p_tf = np.empty(0, np.int32)
-            if want_pos:
-                p_pos_bin = pa.array([], pa.binary())
+        if want_pos:
+            data, byte_lens = varint_position_lists(np.concatenate(pos_parts)[order], p_tf)
+            p_pos_bin = _bin_from_lengths(byte_lens, data)
 
         # ---- exact field terms ("<col>:<value>", tf=1) ----
+        # term hashes: each distinct term hashed once, gathered per posting
         f_rows, f_terms = [p_row], [p_term]
-        f_tfs = [p_tf]
+        f_tfs, f_th = [p_tf], [term_hash(terms)[p_id]]
         for colname in cfg.field_cols:
             vals = t[colname].cast(pa.string())
             # exact term "<col>:<value>"
@@ -338,11 +318,12 @@ class Phase1Invert:
             f_rows.append(np.arange(n, dtype=np.int64))
             f_terms.append(ft.combine_chunks() if isinstance(ft, pa.ChunkedArray) else ft)
             f_tfs.append(np.ones(n, np.int32))
+            f_th.append(term_hash(f_terms[-1]))
         all_rows = np.concatenate(f_rows)
         all_terms = pa.concat_arrays(f_terms)
         all_tfs = np.concatenate(f_tfs)
 
-        th = term_hash(all_terms)
+        th = np.concatenate(f_th)
         shard = (th % np.uint64(cfg.num_shards)).astype(np.int32)
         cols = {
             "shard_id": pa.array(shard),
@@ -992,18 +973,18 @@ def build_index(
     # bucket covers a disjoint doc-id range and the final merge is a concat.
     # The base runs form ONE unit ahead of the new runs: their doc ranges
     # overlap each other and precede every appended doc.
-    # Bucket count adapts to the estimated hot posting volume (target ≈250k
+    # Bucket count follows the estimated hot posting volume (target ≈250k
     # postings per task keeps per-task working sets small — which matters
-    # both for worker heap reuse and for straggler-free scheduling) and is
-    # persisted so a resumed build slices identically.
+    # both for worker heap reuse and for straggler-free scheduling), at
+    # least cfg.n_salts, at most 128 and the unit count; it is persisted so
+    # a resumed build slices identically.
     units = ([base_runs] if base_runs else []) + [[p] for p in run_paths]
     n_buckets = 0
     if hot_sorted.size:
         est = int(man.stage("hot").get("est_hot_postings", 0))
         n_buckets = int(man.stage("hot").get("n_buckets", 0))
         if not n_buckets:
-            n_buckets = max(cfg.n_salts, min(128, -(-est // 250_000)))
-            n_buckets = min(n_buckets, len(units))
+            n_buckets = min(128, len(units), max(cfg.n_salts, -(-est // 250_000)))
             man.mark_stage("hot", n_buckets=int(n_buckets))
     buckets = [[p for u in c for p in units[u]]
                for c in np.array_split(np.arange(len(units)), n_buckets)

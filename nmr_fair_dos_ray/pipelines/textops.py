@@ -284,17 +284,10 @@ class SnippetStage:
                 "n_matched": pa.array([], pa.int64()),
                 "snippet": pa.array([], pa.string()),
             })
+        # the batch stream is in (row, position) order in both tokenizer
+        # modes, as the searchsorted window count and the flat-index snippet
+        # gather below require
         rows, terms, pos = self.tok.batch_token_positions(b[self.text_col])
-        if self.tok.mode != "simple":
-            # code mode emits [all compounds] + [all identifier parts], not
-            # stream order — the searchsorted window count and the flat-index
-            # snippet gather below both require (row, pos)-sorted streams
-            order = np.lexsort((pos, rows))
-            rows, pos = rows[order], pos[order]
-            terms = (
-                terms.combine_chunks() if isinstance(terms, pa.ChunkedArray)
-                else terms
-            ).take(pa.array(order))
         row_counts = np.bincount(rows, minlength=n).astype(np.int64)
         row_off = np.concatenate([[0], np.cumsum(row_counts)])
         m = pc.is_in(terms, value_set=self.terms).to_numpy(zero_copy_only=False)
@@ -323,10 +316,9 @@ class SnippetStage:
             np.repeat(starts, lens) + np.arange(total, dtype=np.int64)
             - np.repeat(seg, lens)
         )
-        toks = terms.combine_chunks() if isinstance(terms, pa.ChunkedArray) else terms
         snip_list = pa.ListArray.from_arrays(
             pa.array(np.concatenate([[0], np.cumsum(lens)]).astype(np.int32)),
-            toks.take(pa.array(flat_idx)),
+            terms.take(pa.array(flat_idx)),
         )
         snippet = pc.binary_join(snip_list, " ")
         return pa.table({

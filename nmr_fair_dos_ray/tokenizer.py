@@ -19,9 +19,38 @@ Two modes:
   reproducible in ANSI SQL (DuckDB ``string_split_regex``) so the driver's
   oracle can verify df / BM25 pipelines value-for-value.
 
-Both a per-row reference implementation (used by the conformance oracle) and a
-vectorized pyarrow implementation (used in ``map_batches`` hot paths) are
-provided; tests assert they produce identical term multisets.
+Both a per-row reference implementation (:meth:`Tokenizer.tokenize`, used by
+the conformance oracle) and a batch implementation
+(:meth:`Tokenizer.batch_token_ids`, used in ``map_batches`` hot paths) are
+provided; tests assert they yield the same (row, term, position) streams.
+
+The batch code mode scans the column's UTF-8 bytes once through a 256-entry
+class table — separator, lower, upper, digit, underscore. Every byte ≥ 0x80
+is a separator: ``[A-Za-z0-9_]+`` on ``str`` matches ASCII only, and every
+byte of a multi-byte UTF-8 character is ≥ 0x80. Raw tokens are runs of
+non-separator bytes cut at row starts; they are dictionary-encoded, and only
+the DISTINCT raw tokens are split into identifier parts (code term streams
+are heavily skewed: a 2 MB file of 432k tokens holds ~150 distinct ones).
+
+The split applies the four ``_BOUNDARY_RULES`` as local predicates on the
+byte classes of (prev, cur, next), a cut sitting before ``cur``:
+
+1. prev ∈ {lower, digit} and cur = upper;
+2. prev = upper, cur = upper and next = lower (the last upper of a run of
+   two or more that a lowercase letter follows);
+3. prev is a letter and cur is a digit;
+4. prev is a digit and cur is a letter.
+
+The per-row reference applies the rules one after another as
+non-overlapping global replaces. That equals the union of the predicates:
+within one rule two matches cannot overlap (a match consumes ``cur``, and
+``cur``'s class can never serve as the next match's ``prev`` — rule 2's
+match ends on the lowercase letter, which starts no upper run), and the
+spaces an earlier rule inserts never sit where a later rule's predicate
+needs adjacency (rule 1 cuts only before the FIRST upper of a run; a
+rule-1 cut between digit and upper already is rule 4's cut). Underscores
+separate parts; a token emits no parts when its only part equals the
+compound, that is, when it has one part and no underscore.
 """
 
 from __future__ import annotations
@@ -33,9 +62,9 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-# Camel/digit boundary rules. Applied SEQUENTIALLY (non-overlapping global
-# replace), identically in Python `re` and RE2 (pyarrow.compute), so the two
-# implementations agree by construction. No lookarounds (RE2 lacks them).
+# Camel/digit boundary rules of the per-row reference, applied SEQUENTIALLY
+# (non-overlapping global replace). The batch path evaluates the same cuts as
+# byte-class predicates (module docstring).
 _BOUNDARY_RULES: list[tuple[str, str]] = [
     (r"([a-z0-9])([A-Z])", r"\1 \2"),      # fooBar      -> foo Bar
     (r"([A-Z]+)([A-Z][a-z])", r"\1 \2"),   # HTMLParser  -> HTML Parser
@@ -54,6 +83,16 @@ SIMPLE_MODE_SQL_SPLIT = (
 
 EXACT_FIELD_PREFIXES = ("repo:", "path:", "lang:", "source:")
 
+# byte classes of the batch code-mode scanner (module docstring)
+_SEP, _LOWER, _UPPER, _DIGIT, _UNDER = 0, 1, 2, 3, 4
+_BYTE_CLASS = np.zeros(256, np.uint8)
+_BYTE_CLASS[ord("a"):ord("z") + 1] = _LOWER
+_BYTE_CLASS[ord("A"):ord("Z") + 1] = _UPPER
+_BYTE_CLASS[ord("0"):ord("9") + 1] = _DIGIT
+_BYTE_CLASS[ord("_")] = _UNDER
+_LOWER_BYTE = np.arange(256, dtype=np.uint8)
+_LOWER_BYTE[ord("A"):ord("Z") + 1] += 32
+
 
 def _split_identifier(token: str) -> list[str]:
     """camelCase/snake_case/digit-boundary parts of one raw token, lowercased."""
@@ -62,6 +101,46 @@ def _split_identifier(token: str) -> list[str]:
         s = rx.sub(rep, s)
     s = s.replace("_", " ")
     return s.lower().split()
+
+
+def _flat_bytes(arr: pa.Array) -> tuple[np.ndarray, np.ndarray]:
+    """(bytes, offsets) of a null-free string/binary array, without copying:
+    ``offsets`` has ``len(arr) + 1`` int64 entries rebased to 0 (a sliced
+    array shares its parent's buffers)."""
+    bufs = arr.buffers()
+    large = pa.types.is_large_string(arr.type) or pa.types.is_large_binary(arr.type)
+    o = arr.offset
+    offs = np.frombuffer(bufs[1], np.int64 if large else np.int32)[o: o + len(arr) + 1]
+    offs = offs.astype(np.int64)
+    if bufs[2] is None or offs[-1] == offs[0]:
+        return np.empty(0, np.uint8), offs - offs[0]
+    data = np.frombuffer(bufs[2], np.uint8)[offs[0]: offs[-1]]
+    return data, offs - offs[0]
+
+
+def _str_from_bytes(data: np.ndarray, lens: np.ndarray) -> pa.Array:
+    """String array of ``len(lens)`` values slicing ASCII ``data``
+    consecutively."""
+    offs = np.zeros(lens.size + 1, np.int64)
+    np.cumsum(lens, out=offs[1:])
+    typ, odt = (pa.string(), np.int32) if offs[-1] < 2**31 else (pa.large_string(), np.int64)
+    return pa.Array.from_buffers(
+        typ, lens.size,
+        [None, pa.py_buffer(offs.astype(odt)), pa.py_buffer(np.ascontiguousarray(data))],
+    )
+
+
+def _excl_cumsum(x: np.ndarray) -> np.ndarray:
+    out = np.zeros(x.size, np.int64)
+    np.cumsum(x[:-1], out=out[1:])
+    return out
+
+
+def _stream_positions(rows: np.ndarray, n: int) -> np.ndarray:
+    """0-based index of each occurrence within its row of a row-ordered
+    stream."""
+    first = _excl_cumsum(np.bincount(rows, minlength=n))
+    return np.arange(rows.size, dtype=np.int64) - first[rows]
 
 
 class Tokenizer:
@@ -121,11 +200,11 @@ class Tokenizer:
         """Vectorized tokenization of a column of texts.
 
         Returns ``(row_idx, term)`` — parallel arrays with one element per
-        token occurrence (tf = count of identical (row_idx, term) pairs).
-        Built on pyarrow.compute kernels; no per-row Python in the hot path.
+        token occurrence, in (row, position) order (tf = count of identical
+        (row_idx, term) pairs).
         """
-        rows, terms, _ = self.batch_token_positions(texts, with_positions=False)
-        return rows, terms
+        rows, ids, _, terms = self.batch_token_ids(texts, with_positions=False)
+        return rows, terms.take(pa.array(ids))
 
     def batch_token_positions(
         self, texts: pa.Array | pa.ChunkedArray, with_positions: bool = True
@@ -135,112 +214,127 @@ class Tokenizer:
         yields — in code mode identifier parts sit right after their
         compound). Foundation of the positional index (phrase queries).
         """
+        rows, ids, pos, terms = self.batch_token_ids(texts, with_positions)
+        return rows, terms.take(pa.array(ids)), pos
+
+    def batch_token_ids(
+        self, texts: pa.Array | pa.ChunkedArray, with_positions: bool = True
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, pa.Array]:
+        """Tokenize a column into a per-batch term dictionary.
+
+        Returns ``(rows, term_ids, positions, terms)``: one element of
+        ``rows`` / ``term_ids`` / ``positions`` per token occurrence, in
+        (row, position) order in both modes — exactly the concatenation of
+        :meth:`tokenize` over the rows, with ``terms.take(term_ids)`` the
+        terms. ``terms`` holds each distinct term once (``pa.string()``);
+        ``positions`` is None unless ``with_positions``. Null rows are empty.
+        """
         if isinstance(texts, pa.ChunkedArray):
             texts = texts.combine_chunks()
-        texts = pc.fill_null(texts, "")
+        if not (pa.types.is_string(texts.type) or pa.types.is_large_string(texts.type)):
+            texts = texts.cast(pa.string())
+        if texts.null_count:
+            texts = pc.fill_null(texts, "")
         n = len(texts)
         if n == 0:
-            return np.empty(0, np.int64), pa.array([], pa.string()), (
-                np.empty(0, np.int64) if with_positions else None
-            )
+            rows, ids, terms = (np.empty(0, np.int64), np.empty(0, np.int32),
+                                pa.array([], pa.string()))
+        elif self.mode == "simple":
+            rows, ids, terms = self._simple_ids(texts, n)
+        else:
+            rows, ids, terms = self._code_ids(texts)
+        pos = _stream_positions(rows, n) if with_positions else None
+        if pa.types.is_large_string(terms.type):
+            terms = terms.cast(pa.string())
+        return rows, ids, pos, terms
 
-        if self.mode == "simple":
-            lowered = pc.utf8_lower(texts)
-            split = pc.split_pattern_regex(lowered, pattern="[^a-z0-9]+")
-            flat = pc.list_flatten(split)
-            rows = np.repeat(
-                np.arange(n, dtype=np.int64),
-                pc.list_value_length(split).to_numpy(zero_copy_only=False),
-            )
-            keep = pc.not_equal(flat, "").to_numpy(zero_copy_only=False)
-            rows = rows[keep]
-            pos = None
-            if with_positions:
-                # kept tokens are in stream order; position within row =
-                # running index minus the row's first kept-token index
-                counts = np.bincount(rows, minlength=n)
-                starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
-                pos = np.arange(rows.size, dtype=np.int64) - starts[rows]
-            return rows, flat.filter(pa.array(keep)), pos
-
-        # code mode — raw tokens
-        split = pc.split_pattern_regex(texts, pattern="[^A-Za-z0-9_]+")
+    @staticmethod
+    def _simple_ids(texts: pa.Array, n: int) -> tuple[np.ndarray, np.ndarray, pa.Array]:
+        # Arrow's Unicode lowercase + RE2 split: the same calls the SQL
+        # oracle's string_split_regex(lower(...)) makes
+        split = pc.split_pattern_regex(pc.utf8_lower(texts), pattern="[^a-z0-9]+")
         flat = pc.list_flatten(split)
         rows = np.repeat(
             np.arange(n, dtype=np.int64),
             pc.list_value_length(split).to_numpy(zero_copy_only=False),
         )
-        keep = pc.not_equal(flat, "").to_numpy(zero_copy_only=False)
-        raw = flat.filter(pa.array(keep))
-        raw_rows = rows[keep]
+        keep = pc.not_equal(flat, "")
+        rows = rows[keep.to_numpy(zero_copy_only=False)]
+        enc = pc.dictionary_encode(flat.filter(keep))
+        return rows, enc.indices.to_numpy(zero_copy_only=False), enc.dictionary
 
-        compound = pc.utf8_lower(raw)
+    @staticmethod
+    def _code_ids(texts: pa.Array) -> tuple[np.ndarray, np.ndarray, pa.Array]:
+        data, offs = _flat_bytes(texts)
+        word = _BYTE_CLASS[data] != _SEP
+        # raw tokens: runs of word bytes, cut at row starts
+        edge = np.empty(data.size + 1, bool)
+        edge[0] = edge[-1] = True
+        np.not_equal(word[1:], word[:-1], out=edge[1:-1])
+        edge[offs] = True
+        starts = np.flatnonzero(edge[:-1] & word)
+        ends = np.flatnonzero(edge[1:] & word) + 1
+        if not starts.size:
+            return np.empty(0, np.int64), np.empty(0, np.int32), pa.array([], pa.string())
+        # the row of a token: the LAST row starting at or before it (empty
+        # rows share their successor's offset; side="right" skips them)
+        tok_row = np.searchsorted(offs, starts, side="right") - 1
+        enc = pc.dictionary_encode(_str_from_bytes(data[word], ends - starts))
+        occ = enc.indices.to_numpy(zero_copy_only=False)
 
-        # fast path: pure-lowercase or pure-digit tokens can never produce
-        # identifier parts different from their compound — skip the (regex-
-        # and bandwidth-heavy) boundary chain for them entirely
-        simple = pc.match_substring_regex(
-            raw, r"^([a-z]+|[0-9]+)$"
-        ).to_numpy(zero_copy_only=False)
-        cand_mask = ~simple
-        cand = raw.filter(pa.array(cand_mask))
-        cand_compound = compound.filter(pa.array(cand_mask))
-        cand_src = np.flatnonzero(cand_mask)  # candidate idx -> raw idx
-
-        s = cand
-        for pat, rep in _BOUNDARY_RULES:
-            s = pc.replace_substring_regex(s, pattern=pat, replacement=rep)
-        s = pc.replace_substring(s, pattern="_", replacement=" ")
-        s = pc.utf8_lower(s)
-        parts_list = pc.split_pattern(s, pattern=" ")
-        parts_flat = pc.list_flatten(parts_list)
-        parts_lens = pc.list_value_length(parts_list).to_numpy(zero_copy_only=False)
-        parts_token_idx = np.repeat(np.arange(len(cand), dtype=np.int64), parts_lens)
-
-        # Keep parts only for tokens where splitting changed something:
-        # i.e. NOT (exactly one non-empty part equal to the compound).
-        nonempty = pc.not_equal(parts_flat, "").to_numpy(zero_copy_only=False)
-        nonempty_per_token = np.zeros(len(cand), np.int64)
-        np.add.at(nonempty_per_token, parts_token_idx, nonempty.astype(np.int64))
-        eq_compound = pc.equal(
-            parts_flat, cand_compound.take(pa.array(parts_token_idx))
-        ).to_numpy(zero_copy_only=False)
-        one_part = nonempty_per_token == 1
-        # token has exactly one nonempty part AND that part equals compound
-        eq_per_token = np.zeros(len(cand), np.int64)
-        np.add.at(eq_per_token, parts_token_idx, (nonempty & eq_compound).astype(np.int64))
-        single_same = one_part & (eq_per_token == 1)
-
-        keep_part = nonempty & ~single_same[parts_token_idx]
-        part_terms = parts_flat.filter(pa.array(keep_part))
-        part_raw_idx = cand_src[parts_token_idx[keep_part]]  # part -> raw idx
-        part_rows = raw_rows[part_raw_idx]
-
-        out_rows = np.concatenate([raw_rows, part_rows])
-        out_terms = pa.concat_arrays(
-            [compound.combine_chunks() if isinstance(compound, pa.ChunkedArray) else compound,
-             part_terms.combine_chunks() if isinstance(part_terms, pa.ChunkedArray) else part_terms]
+        # ---- identifier parts of the DISTINCT raw tokens only ----
+        dd, doffs = _flat_bytes(enc.dictionary)
+        n_raw = doffs.size - 1
+        c = _BYTE_CLASS[dd]
+        tok_of = np.repeat(np.arange(n_raw), np.diff(doffs))
+        prev = np.empty_like(c)
+        prev[1:] = c[:-1]
+        prev[doffs[:-1]] = _SEP
+        nxt = np.empty_like(c)
+        nxt[:-1] = c[1:]
+        nxt[doffs[1:] - 1] = _SEP
+        letter_c = (c == _LOWER) | (c == _UPPER)
+        letter_p = (prev == _LOWER) | (prev == _UPPER)
+        boundary = (
+            (((prev == _LOWER) | (prev == _DIGIT)) & (c == _UPPER))
+            | ((prev == _UPPER) & (c == _UPPER) & (nxt == _LOWER))
+            | (letter_p & (c == _DIGIT))
+            | ((prev == _DIGIT) & letter_c)
         )
-        pos = None
-        if with_positions:
-            # stream width of raw token i = 1 (compound) + its kept parts;
-            # compound position = exclusive per-row cumsum of widths
-            n_raw = raw_rows.size
-            parts_per_raw = np.zeros(n_raw, np.int64)
-            np.add.at(parts_per_raw, part_raw_idx, 1)
-            widths = parts_per_raw + 1
-            w_excl = np.concatenate([[0], np.cumsum(widths)[:-1]])
-            row_counts = np.bincount(raw_rows, minlength=n)
-            row_first = np.concatenate([[0], np.cumsum(row_counts)[:-1]])
-            compound_pos = w_excl - w_excl[row_first[raw_rows]]
-            # part j of raw token i sits at compound_pos[i] + 1 + j
-            kept_idx = parts_token_idx[keep_part]  # ascending candidate ids
-            kcnt = np.bincount(kept_idx, minlength=len(cand)) if len(cand) else np.empty(0, np.int64)
-            kstart = np.concatenate([[0], np.cumsum(kcnt)[:-1]]) if len(cand) else kcnt
-            j_within = np.arange(kept_idx.size, dtype=np.int64) - kstart[kept_idx]
-            part_pos = compound_pos[part_raw_idx] + 1 + j_within
-            pos = np.concatenate([compound_pos, part_pos])
-        return out_rows, out_terms, pos
+        in_part = c != _UNDER
+        part_start = in_part & (boundary | (prev == _SEP) | (prev == _UNDER))
+        part_id = np.cumsum(part_start) - 1
+        part_tok = tok_of[part_start]
+        n_parts = np.bincount(part_tok, minlength=n_raw)
+        has_under = np.bincount(tok_of[~in_part], minlength=n_raw) > 0
+        # a token whose only part equals its compound emits no parts
+        k = np.where((n_parts == 1) & ~has_under, 0, n_parts)
+        keep_part = k[part_tok] > 0
+        part_lens = np.bincount(part_id[in_part], minlength=part_tok.size)[keep_part]
+        part_bytes = dd[in_part][keep_part[part_id[in_part]]]
+
+        # ---- one dictionary over compounds and parts ----
+        all_terms = pa.concat_arrays([
+            _str_from_bytes(_LOWER_BYTE[dd], np.diff(doffs)),
+            _str_from_bytes(_LOWER_BYTE[part_bytes], part_lens),
+        ])
+        tenc = pc.dictionary_encode(all_terms)
+        tid = tenc.indices.to_numpy(zero_copy_only=False)
+        # each distinct raw token's emission: [compound, part, part, ...]
+        width = 1 + k
+        seq_off = _excl_cumsum(width)
+        seq = np.empty(int(width.sum()), tid.dtype)
+        seq[seq_off] = tid[:n_raw]
+        kept_tok = part_tok[keep_part]
+        rank = np.arange(kept_tok.size) - _excl_cumsum(k)[kept_tok]
+        seq[seq_off[kept_tok] + 1 + rank] = tid[n_raw:]
+
+        # ---- expand every occurrence into its emission, in stream order ----
+        w_occ = width[occ]
+        total = int(w_occ.sum())
+        src = (np.arange(total, dtype=np.int64)
+               + np.repeat(seq_off[occ] - _excl_cumsum(w_occ), w_occ))
+        return np.repeat(tok_row, w_occ), seq[src], tenc.dictionary
 
 
 def term_hash(terms: pa.Array | pa.ChunkedArray | list[str]) -> np.ndarray:
@@ -248,6 +342,9 @@ def term_hash(terms: pa.Array | pa.ChunkedArray | list[str]) -> np.ndarray:
 
     Used as the shuffle key for posting-list construction (SURVEY.md §4.2).
     Python's ``hash`` is salted per process — never use it for shuffling.
+    Each distinct term is hashed once: distinct terms are ordered longest
+    first, so byte step ``j`` updates the prefix of terms longer than ``j``
+    with no mask over every term. Nulls hash as ``""``.
     """
     if isinstance(terms, list):
         terms = pa.array(terms, pa.string())
@@ -255,31 +352,24 @@ def term_hash(terms: pa.Array | pa.ChunkedArray | list[str]) -> np.ndarray:
         terms = terms.combine_chunks()
     if len(terms) == 0:
         return np.empty(0, np.uint64)
-    # vectorize FNV-1a over byte positions (≤ max term length passes)
-    buf = terms.cast(pa.binary())
-    arr = buf.combine_chunks() if isinstance(buf, pa.ChunkedArray) else buf
-    lengths = pc.binary_length(arr).to_numpy(zero_copy_only=False).astype(np.int64)
-    bufs = arr.buffers()
-    data = (
-        np.frombuffer(bufs[2], dtype=np.uint8)
-        if bufs[2] is not None
-        else np.empty(0, np.uint8)
-    )
-    offs = np.frombuffer(bufs[1], dtype=np.int32).astype(np.int64)
-    # for a sliced array the offsets buffer is shared; index with arr.offset
-    o = arr.offset
-    starts = offs[o : o + len(arr)]
-    h = np.full(len(arr), np.uint64(0xCBF29CE484222325))
+    if terms.null_count:
+        terms = pc.fill_null(terms, "")
+    enc = pc.dictionary_encode(terms)
+    data, offs = _flat_bytes(enc.dictionary)
+    lengths = np.diff(offs)
+    order = np.argsort(-lengths, kind="stable")
+    starts = offs[:-1][order]
+    # n_longer[j] = number of distinct terms longer than j (a prefix of order)
+    n_longer = lengths.size - np.cumsum(np.bincount(lengths))
+    h = np.full(lengths.size, np.uint64(0xCBF29CE484222325))
     prime = np.uint64(0x100000001B3)
-    maxlen = int(lengths.max()) if len(lengths) else 0
     with np.errstate(over="ignore"):
-        for j in range(maxlen):
-            m = lengths > j
-            if not m.any():
-                break
-            b = data[starts[m] + j].astype(np.uint64)
-            h[m] = (h[m] ^ b) * prime
-    return h
+        for j in range(int(lengths.max())):
+            m = int(n_longer[j])
+            h[:m] = (h[:m] ^ data[starts[:m] + j]) * prime
+    out = np.empty_like(h)
+    out[order] = h
+    return out[enc.indices.to_numpy(zero_copy_only=False)]
 
 
 def term_hash_one(term: str) -> int:

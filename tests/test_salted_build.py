@@ -115,3 +115,27 @@ def test_salted_resume_identical(both_indexes, sf_unit, durable_writes):
         d2, t2 = resumed.postings(term)
         np.testing.assert_array_equal(d1, d2)
         np.testing.assert_array_equal(t1, t2)
+
+
+def test_hot_bucket_count_follows_volume(sf_unit, tmp_path):
+    """Hot run-buckets follow the estimated hot posting volume (≈250k
+    postings per task), at least ``n_salts`` and at most the number of
+    runs: this corpus's hot volume asks for one bucket, so n_salts=3 gives
+    3 parts, the default (1) gives one and n_salts=8 is capped at the 4
+    runs."""
+    corpus = pq.read_table(sf_unit["corpus"])
+    src = tmp_path / "src"
+    src.mkdir()
+    for i, rows in enumerate(np.array_split(np.arange(corpus.num_rows), 4)):
+        pq.write_table(corpus.take(rows), src / f"part_{i:03d}.parquet")
+    assert IndexConfig().n_salts == 1
+    for n_salts, want in ((3, 3), (None, 1), (8, 4)):
+        kw = {} if n_salts is None else {"n_salts": n_salts}
+        cfg = IndexConfig(salt_hot_terms=True, hot_df_threshold=8, **kw, **BASE)
+        man = build_index(str(src), str(tmp_path / f"idx_{n_salts}"), cfg)
+        hot = man["stages"]["hot"]
+        assert hot["n_hot"] > 0 and hot["est_hot_postings"] < 250_000
+        assert hot["n_buckets"] == want
+        hot_parts = [k for k in man["stages"]["shards"]["partitions"]
+                     if int(k) >= cfg.num_shards]
+        assert len(hot_parts) == want

@@ -2,6 +2,7 @@
 
 from collections import Counter
 
+import numpy as np
 import pyarrow as pa
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -74,8 +75,63 @@ def test_batch_row_equivalence_property(texts, mode):
         assert got.get(i, Counter()) == Counter(tok.tokenize(text))
 
 
-@given(st.lists(st.text(min_size=0, max_size=30), min_size=1, max_size=20))
+def _layout(texts: list, layout: str, typ=pa.string()):
+    """``texts`` as a plain, sliced (offset into shared buffers), chunked or
+    large_string array."""
+    if layout == "sliced":
+        return pa.array(["pad Pad"] + texts + ["padX"], typ).slice(1, len(texts))
+    if layout == "chunked":
+        k = len(texts) // 2
+        return pa.chunked_array([pa.array(texts[:k], typ), pa.array(texts[k:], typ)], typ)
+    if layout == "large":
+        return pa.array(texts, pa.large_string())
+    return pa.array(texts, typ)
+
+
+_LAYOUTS = ["plain", "sliced", "chunked", "large"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.text(alphabet="aAbBzZ09_ é-", max_size=24), max_size=6),
+    st.sampled_from(["code", "simple"]),
+    st.sampled_from(_LAYOUTS),
+)
+def test_batch_stream_is_position_exact(texts, mode, layout):
+    """The batch stream is exactly ``enumerate(tokenize(text))`` row after
+    row — (row, term, position) in (row, position) order — on an
+    identifier-heavy alphabet (camelCase, digit and underscore boundaries,
+    non-ASCII separators), with empty and null rows between token-bearing
+    ones (empty rows share one offset) and every array layout."""
+    rows_in = [x for t in texts for x in (t, "", None)]
+    tok = Tokenizer(mode)
+    arr = _layout(rows_in, layout)
+    want = [(i, term, p) for i, x in enumerate(rows_in)
+            for p, term in enumerate(tok.tokenize(x or ""))]
+    rows, ids, pos, terms = tok.batch_token_ids(arr)
+    got = list(zip(rows.tolist(), terms.take(pa.array(ids)).to_pylist(), pos.tolist()))
+    assert got == want
+    assert terms.type == pa.string()
+    assert len(set(terms.to_pylist())) == len(terms)  # one id per term
+    rows2, strs, pos2 = tok.batch_token_positions(arr)
+    assert list(zip(rows2.tolist(), strs.to_pylist(), pos2.tolist())) == want
+
+
+@given(
+    st.lists(
+        st.one_of(
+            st.text(max_size=30),
+            st.text(min_size=200, max_size=240),  # 200+ chars, 200+ bytes
+            st.sampled_from(["", "déjà", "测试", "😀x", "getUserName"]),
+        ),
+        min_size=1, max_size=20,
+    ),
+    st.sampled_from(["list", "plain", "sliced", "chunked", "large"]),
+)
 @settings(max_examples=50, deadline=None)
-def test_term_hash_vectorized_matches_scalar(terms):
-    h = term_hash(pa.array(terms, pa.string()))
+def test_term_hash_vectorized_matches_scalar(terms, layout):
+    terms = terms + terms[::2]  # duplicates, hashed once each
+    arr = terms if layout == "list" else _layout(terms, layout)
+    h = term_hash(arr)
+    assert h.dtype == np.uint64
     assert h.tolist() == [term_hash_one(t) for t in terms]
