@@ -60,21 +60,25 @@ def varint_encode_all(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     v = np.asarray(values, dtype=np.uint64)
     if v.size == 0:
         return np.empty(0, np.uint8), np.empty(0, np.int64)
-    # bytes needed per value: ceil(bit_length / 7), min 1
+    # bytes needed per value: ceil(bit_length / 7), min 1. Each pass carries
+    # only the values with bits left, so skewed input (most values < 128)
+    # costs one full pass plus passes over a shrinking tail.
     nb = np.ones(v.size, dtype=np.int64)
-    tmp = v >> np.uint64(7)
-    while tmp.any():
-        nb += (tmp > 0).astype(np.int64)
-        tmp = tmp >> np.uint64(7)
-    starts = np.concatenate([[0], np.cumsum(nb)[:-1]])
-    out = np.zeros(int(nb.sum()), dtype=np.uint8)
-    for j in range(10):
-        m = nb > j
-        if not m.any():
+    live = np.flatnonzero(v > 0x7F)
+    rest = v[live] >> np.uint64(7)
+    while live.size:
+        nb[live] += 1
+        more = rest > 0x7F
+        live, rest = live[more], rest[more] >> np.uint64(7)
+    pos = np.concatenate([[0], np.cumsum(nb)[:-1]])
+    out = np.empty(int(pos[-1] + nb[-1]), dtype=np.uint8)
+    rest = v
+    while True:
+        more = rest > 0x7F
+        out[pos] = (rest & np.uint64(0x7F)).astype(np.uint8) | (more.view(np.uint8) << 7)
+        if not more.any():
             break
-        byte = (v[m] >> np.uint64(7 * j)) & np.uint64(0x7F)
-        cont = np.where(nb[m] > j + 1, 0x80, 0).astype(np.uint64)
-        out[starts[m] + j] = (byte | cont).astype(np.uint8)
+        rest, pos = rest[more] >> np.uint64(7), pos[more] + 1
     return out, nb
 
 

@@ -29,7 +29,7 @@ import pyarrow as pa
 from ray.data import Dataset
 from ray.data.aggregate import Count, Min
 
-from nmr_fair_dos_ray.tokenizer import Tokenizer
+from nmr_fair_dos_ray.tokenizer import Tokenizer, term_hash
 
 MINHASH_PERMS = 128
 LSH_BANDS = 32  # 32 bands × 4 rows
@@ -157,10 +157,10 @@ class SimHashStage:
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         n = batch.num_rows
-        rows, terms = self.tok.batch_token_rows(batch[self.text_col])
+        rows, ids, _, terms = self.tok.batch_token_ids(batch[self.text_col], False)
         out = np.zeros(n, np.uint64)
-        if len(terms):
-            h = _hash_tokens(terms)
+        if ids.size:
+            h = term_hash(terms)[ids]
             shifts = np.arange(64, dtype=np.uint64)
             acc = np.zeros((n, 64), np.int64)
             for lo in range(0, h.size, self.TOKEN_CHUNK):
@@ -207,12 +207,12 @@ def batch_signatures(
     and chunked ``minimum.reduceat`` signature mins. Per-doc identical to
     ``minhash_signature(shingle_hashes(text))`` (tested)."""
     n = len(texts)
-    rows, terms = tok.batch_token_rows(texts)
+    rows, ids, _, terms = tok.batch_token_ids(texts, False)
     n_perms = a.size
     sigs = np.full((n, n_perms), np.uint64(0xFFFFFFFFFFFFFFFF))
-    if len(terms) == 0:
+    if ids.size == 0:
         return sigs
-    h = _hash_tokens(terms)
+    h = term_hash(terms)[ids]
     counts = np.zeros(n, np.int64)
     np.add.at(counts, rows, 1)
     starts = np.concatenate([[0], np.cumsum(counts)[:-1]])

@@ -187,11 +187,13 @@ def q_df_top_terms(sf_dir: str) -> pd.DataFrame:
             self.tok = Tokenizer("simple")
 
         def __call__(self, b: pa.Table) -> pa.Table:
-            rows, terms = self.tok.batch_token_rows(b["text"])
+            rows, ids, _, terms = self.tok.batch_token_ids(b["text"], False)
             doc_ids = b["doc_id"].to_numpy(zero_copy_only=False)[rows]
-            pairs = pa.table({"doc_id": pa.array(doc_ids), "term": terms})
+            pairs = pa.table({"doc_id": pa.array(doc_ids), "term_id": pa.array(ids)})
             # distinct (doc, term) within the batch — docs never span batches
-            return pairs.group_by(["doc_id", "term"]).aggregate([])
+            pairs = pairs.group_by(["doc_id", "term_id"]).aggregate([])
+            return pa.table({"doc_id": pairs["doc_id"],
+                             "term": terms.take(pairs["term_id"])})
 
     agg = (
         docs.map_batches(Tok, batch_format="pyarrow", concurrency=(1, 8))

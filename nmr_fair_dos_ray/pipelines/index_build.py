@@ -11,7 +11,7 @@ Phase 1 (stateless tasks, one per Parquet row group — the SPIMI "invert" pass)
     vectorized code-aware tokenization into ONE term dictionary per batch
     (content and token columns; the stream arrives in (row, position) order
     as integer term ids) → per-(doc, term) aggregation on the integer key
-    ``row * n_terms + id``: one stable sort, tf = run length, positions
+    ``row * n_terms + id``: one stable radix sort, tf = run length, positions
     already ascending, term strings and hashes gathered from the dictionary
     → write one *posting run* file + one *docs* file per row group (atomic
     rename, write-once ⇒ per-partition checkpoint), return a manifest row.
@@ -43,9 +43,13 @@ idf-free block max and the varint docs/tfs bytes), plus ``champ_docs`` /
 ``champ_tfn`` with champion lists and ``pos_stream`` with positions. Block
 BM25 bounds are derived by the reader from df and the manifest's n_docs.
 Every shard and doc-store file goes through one writer
-(:func:`write_index_file`: zstd, hidden temp name, ``os.replace``). The
-phase-1 runs keep ``term_hash``, the shuffle key they are routed and
-hot-filtered by.
+(:func:`write_index_file`: zstd, hidden temp name, ``os.replace``), which
+also picks each column's parquet encoding (:data:`INDEX_COLUMN_ENCODING`):
+the sorted ``term`` column is front-coded, the position and block doc-gap
+bytes are stored plain, doc-store ids delta-packed, and every other column
+keeps dictionary encoding. Encodings are invisible to parquet readers, so
+files written before or after read the same. The phase-1 runs keep
+``term_hash``, the shuffle key they are routed and hot-filtered by.
 
 Once the shards and the hot merge are durable the final manifest save
 marks the build finished and ``runs/`` and ``hotparts/`` are deleted; a
@@ -210,6 +214,20 @@ def _bin_from_lengths(byte_lens: np.ndarray, data: np.ndarray) -> pa.Array:
     )
 
 
+def radix_argsort(keys: np.ndarray) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")`` for non-negative int64 keys, as an
+    LSD radix sort: one stable argsort per 16-bit digit (numpy radix-sorts
+    ``uint16``), low digit first, as many digits as the largest key needs.
+    Each pass keeps the order of equal digits, so the result is the stable
+    permutation; timsort on int64 keys measured twice as slow."""
+    keys = np.asarray(keys, np.int64)
+    order = np.argsort((keys & 0xFFFF).astype(np.uint16), kind="stable")
+    for shift in range(16, int(keys.max(initial=0)).bit_length(), 16):
+        digit = ((keys[order] >> shift) & 0xFFFF).astype(np.uint16)
+        order = order[np.argsort(digit, kind="stable")]
+    return order
+
+
 class Phase1Invert:
     """map_batches callable over work items (batch_size=1): the SPIMI invert.
 
@@ -294,7 +312,7 @@ class Phase1Invert:
         # ascending; tf is the run length of its key
         n_terms = max(1, len(terms))
         key = rows * n_terms + ids
-        order = np.argsort(key, kind="stable")
+        order = radix_argsort(key)
         key = key[order]
         run_start = np.flatnonzero(np.diff(key, prepend=-1))
         p_tf = np.diff(np.append(run_start, key.size)).astype(np.int32)
@@ -441,6 +459,34 @@ def _cap_arrow_threads(n: int = 2) -> None:
 #: parquet's default snappy, at a read cost within noise.
 INDEX_CODEC = "zstd"
 
+#: parquet encoding per column leaf (dotted parquet path) where dictionary
+#: encoding does not suit the data; every other leaf keeps dictionary
+#: encoding. ``term`` is sorted and unique within a shard file, so
+#: DELTA_BYTE_ARRAY front-codes it (each term stores only the suffix after
+#: the prefix it shares with the one before, as Lucene's terms dictionary
+#: does); positions and block doc gaps are unique byte strings a dictionary
+#: never reuses; doc-store ids ascend densely. Parquet readers decode any
+#: encoding, so the choice is invisible to the reader and to older files.
+INDEX_COLUMN_ENCODING = {
+    "term": "DELTA_BYTE_ARRAY",
+    "pos_stream": "PLAIN",
+    "blocks.list.element.docs": "PLAIN",
+    "doc_id": "DELTA_BINARY_PACKED",
+}
+
+
+def _leaf_paths(name: str, typ: pa.DataType):
+    """Parquet column paths of one Arrow field (lists as ``list.element``).
+    Index columns are scalars, structs and lists; a stored column of another
+    nested type gets no path here and is written without a dictionary."""
+    if pa.types.is_struct(typ):
+        for f in typ:
+            yield from _leaf_paths(f"{name}.{f.name}", f.type)
+    elif pa.types.is_list(typ) or pa.types.is_large_list(typ):
+        yield from _leaf_paths(f"{name}.list.element", typ.value_type)
+    else:
+        yield name
+
 
 def _tmp_path(path: str) -> str:
     """Temp name of an atomic write: beside ``path`` and dot-prefixed, so
@@ -453,10 +499,15 @@ def _tmp_path(path: str) -> str:
 def write_index_file(table: pa.Table, path: str) -> None:
     """Atomically write one index file — every shard and doc-store file
     (build, hot merge, compaction, refresh) and the build's df sidecars:
-    zstd parquet to a hidden temp name, then ``os.replace``."""
+    zstd parquet with the :data:`INDEX_COLUMN_ENCODING` encodings to a
+    hidden temp name, then ``os.replace``."""
     os.makedirs(os.path.dirname(path), exist_ok=True)
     tmp = _tmp_path(path)
-    pq.write_table(table, tmp, compression=INDEX_CODEC)
+    leaves = [p for f in table.schema for p in _leaf_paths(f.name, f.type)]
+    encoding = {p: INDEX_COLUMN_ENCODING[p] for p in leaves if p in INDEX_COLUMN_ENCODING}
+    pq.write_table(table, tmp, compression=INDEX_CODEC,
+                   use_dictionary=[p for p in leaves if p not in encoding],
+                   column_encoding=encoding)
     os.replace(tmp, path)
 
 

@@ -25,7 +25,8 @@ Shard files store no idf-bearing value: block BM25 bounds are derived by
 the reader from each term's stored ``df``, the manifest's ``n_docs`` and the
 block's idf-free ``max_tf_norm`` (codec.py), so neither compaction nor
 refresh computes a bound. Every shard and doc-store rewrite goes through
-``index_build.write_index_file`` (zstd, hidden temp name, ``os.replace``).
+``index_build.write_index_file`` (zstd, per-column encodings, hidden temp
+name, ``os.replace``).
 
 Append after compaction: an incremental `build_index(resume=True)` re-derives
 its base postings from the live shard files (`decode_shard_table`) and its

@@ -13,7 +13,7 @@ import pyarrow.compute as pc
 
 from ray.data import Dataset
 
-from nmr_fair_dos_ray.tokenizer import Tokenizer
+from nmr_fair_dos_ray.tokenizer import Tokenizer, term_hash
 
 # n-gram-free heuristic language ID: stopword hit ratios per language.
 _STOPWORDS = {
@@ -162,8 +162,6 @@ def rolling_fingerprint(text: str, tokenizer: Tokenizer | None = None) -> list[i
     ``term_hash``), window combine is a wrapping uint64 polynomial — the
     former per-byte/mod-M61 Python loops are gone (values changed with the
     hash, semantics identical; rows-only contract query)."""
-    from nmr_fair_dos_ray.tokenizer import term_hash
-
     tok = tokenizer or Tokenizer("simple")
     toks = tok.tokenize(text or "")
     if not toks:
@@ -186,14 +184,12 @@ class FingerprintStage:
         self.tok = Tokenizer("simple")
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        from nmr_fair_dos_ray.pipelines.dedup import _hash_tokens
-
         n = batch.num_rows
-        rows, terms = self.tok.batch_token_rows(batch[self.text_col])
+        rows, ids, _, terms = self.tok.batch_token_ids(batch[self.text_col], False)
         vals = np.empty(0, np.uint64)
         doc_of = np.empty(0, np.int64)
-        if len(terms):
-            h = _hash_tokens(terms)
+        if ids.size:
+            h = term_hash(terms)[ids]
             counts = np.zeros(n, np.int64)
             np.add.at(counts, rows, 1)
             starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
@@ -287,10 +283,11 @@ class SnippetStage:
         # the batch stream is in (row, position) order in both tokenizer
         # modes, as the searchsorted window count and the flat-index snippet
         # gather below require
-        rows, terms, pos = self.tok.batch_token_positions(b[self.text_col])
+        rows, ids, pos, terms = self.tok.batch_token_ids(b[self.text_col])
         row_counts = np.bincount(rows, minlength=n).astype(np.int64)
         row_off = np.concatenate([[0], np.cumsum(row_counts)])
-        m = pc.is_in(terms, value_set=self.terms).to_numpy(zero_copy_only=False)
+        # each distinct term is matched once, gathered per occurrence
+        m = pc.is_in(terms, value_set=self.terms).to_numpy(zero_copy_only=False)[ids]
         rows_m, pos_m = rows[m], pos[m]
         n_matched = np.zeros(n, np.int64)
         best_start = np.zeros(n, np.int64)
@@ -318,7 +315,7 @@ class SnippetStage:
         )
         snip_list = pa.ListArray.from_arrays(
             pa.array(np.concatenate([[0], np.cumsum(lens)]).astype(np.int32)),
-            terms.take(pa.array(flat_idx)),
+            terms.take(pa.array(ids[flat_idx])),
         )
         snippet = pc.binary_join(snip_list, " ")
         return pa.table({

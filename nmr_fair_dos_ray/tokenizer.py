@@ -196,27 +196,6 @@ class Tokenizer:
         return terms, exact
 
     # --------------------------------------------------------------- batches
-    def batch_token_rows(self, texts: pa.Array | pa.ChunkedArray) -> tuple[np.ndarray, pa.Array]:
-        """Vectorized tokenization of a column of texts.
-
-        Returns ``(row_idx, term)`` — parallel arrays with one element per
-        token occurrence, in (row, position) order (tf = count of identical
-        (row_idx, term) pairs).
-        """
-        rows, ids, _, terms = self.batch_token_ids(texts, with_positions=False)
-        return rows, terms.take(pa.array(ids))
-
-    def batch_token_positions(
-        self, texts: pa.Array | pa.ChunkedArray, with_positions: bool = True
-    ) -> tuple[np.ndarray, pa.Array, np.ndarray | None]:
-        """Like :meth:`batch_token_rows` plus each occurrence's POSITION in
-        its row's token stream (0-based, the same stream :meth:`tokenize`
-        yields — in code mode identifier parts sit right after their
-        compound). Foundation of the positional index (phrase queries).
-        """
-        rows, ids, pos, terms = self.batch_token_ids(texts, with_positions)
-        return rows, terms.take(pa.array(ids)), pos
-
     def batch_token_ids(
         self, texts: pa.Array | pa.ChunkedArray, with_positions: bool = True
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, pa.Array]:

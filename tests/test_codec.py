@@ -11,6 +11,7 @@ from nmr_fair_dos_ray.codec import (
     encode_blocks,
     varint_decode,
     varint_encode,
+    varint_encode_all,
 )
 
 
@@ -29,6 +30,39 @@ def test_varint_empty():
 def test_varint_roundtrip_property(vals):
     arr = np.array(vals, dtype=np.uint64)
     assert varint_decode(varint_encode(arr), len(vals)).tolist() == vals
+
+
+def _leb128(v: int) -> bytes:
+    out = bytearray()
+    while True:
+        byte, v = v & 0x7F, v >> 7
+        out.append(byte | (0x80 if v else 0))
+        if not v:
+            return bytes(out)
+
+
+_VARINT_EDGES = [0, 127, 128, 2**35, 2**63, 2**64 - 1]
+
+
+@given(st.lists(st.one_of(st.sampled_from(_VARINT_EDGES),
+                          st.integers(min_value=0, max_value=300),
+                          st.integers(min_value=0, max_value=2**64 - 1)),
+                max_size=200))
+@settings(max_examples=120, deadline=None)
+def test_varint_encode_all_matches_scalar_leb128(vals):
+    data, nb = varint_encode_all(np.array(vals, dtype=np.uint64))
+    want = [_leb128(v) for v in vals]
+    assert data.dtype == np.uint8 and nb.dtype == np.int64
+    assert data.tobytes() == b"".join(want)
+    assert nb.tolist() == [len(w) for w in want]
+
+
+def test_varint_encode_all_edges_and_empty():
+    data, nb = varint_encode_all(np.array(_VARINT_EDGES, dtype=np.uint64))
+    assert nb.tolist() == [1, 1, 2, 6, 10, 10]
+    assert data.tobytes() == b"".join(_leb128(v) for v in _VARINT_EDGES)
+    data, nb = varint_encode_all(np.empty(0, np.uint64))
+    assert data.size == 0 and nb.size == 0
 
 
 @given(

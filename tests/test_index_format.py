@@ -4,9 +4,11 @@ Shard files store only what a reader cannot recompute (term, df, the
 idf-free block max and the compressed blocks); the reader derives every
 block's BM25 bound at load from the manifest's n_docs. Every shard and
 doc-store file is zstd parquet written through one atomic writer whose temp
-name directory readers skip. Indexes written before that layout (with
-``term_hash``, ``cf`` and a stored ``max_score``, Snappy-compressed) read,
-compact, refresh and append to the same results.
+name directory readers skip; that writer picks each column's encoding
+(front-coded terms, plain position and doc-gap bytes, delta-packed doc-store
+ids). Indexes written before that layout (with ``term_hash``, ``cf`` and a
+stored ``max_score``, Snappy-compressed, default encodings) read, compact,
+refresh and append to the same results.
 """
 
 import json
@@ -107,6 +109,89 @@ def test_derived_block_max_is_idf_times_max_tf_norm(built):
     assert r._b_max.dtype == np.float64
     np.testing.assert_array_equal(r._b_max, want)
     _bounds_cover_scores(r)
+
+
+# ------------------------------------------------ column encodings
+_DICT = {"RLE_DICTIONARY", "PLAIN_DICTIONARY"}
+
+
+def _column_encodings(path: str) -> dict[str, set[str]]:
+    md = pq.ParquetFile(path).metadata
+    out: dict[str, set[str]] = {}
+    for i in range(md.num_row_groups):
+        for j in range(md.num_columns):
+            c = md.row_group(i).column(j)
+            out.setdefault(c.path_in_schema, set()).update(c.encodings)
+    return out
+
+
+def _assert_index_encodings(idx: str) -> None:
+    for path in _files(idx, "shards"):
+        enc = _column_encodings(path)
+        assert "DELTA_BYTE_ARRAY" in enc["term"], (path, enc["term"])
+        for col in ("pos_stream", "blocks.list.element.docs"):
+            assert not enc[col] & _DICT, (path, col, enc[col])
+        assert enc["df"] & _DICT, (path, enc["df"])
+    for path in _files(idx, "docs"):
+        enc = _column_encodings(path)
+        assert "DELTA_BINARY_PACKED" in enc["doc_id"], (path, enc["doc_id"])
+        assert enc["sha256"] & _DICT, (path, enc["sha256"])
+
+
+def test_every_write_path_uses_the_index_encodings(sf_unit, tmp_path):
+    """Build, delete, compact, refresh and append each rewrite shard or
+    doc-store files; after every step all of them carry the writer's
+    per-column encodings, so no path writes around it."""
+    src, idx = _build(sf_unit, tmp_path)
+    _assert_index_encodings(idx)
+    r0 = IndexReader(idx)
+    delete_docs(idx, r0._doc_ids_sorted[::7])
+    _assert_index_encodings(idx)
+    compact_index(idx)
+    _assert_index_encodings(idx)
+    refresh_stats(idx)
+    _assert_index_encodings(idx)
+    corpus = _corpus(sf_unit)
+    n = corpus.num_rows
+    extra = corpus.slice(0, 40)
+    extra = extra.set_column(extra.column_names.index("did"), "did",
+                             pa.array(np.arange(n, n + 40, dtype=np.int64)))
+    pq.write_table(extra, os.path.join(src, "part_001.parquet"))
+    man = build_index(src, idx, CFG, resume=True)
+    assert "base" in man["stages"]  # an append, not a rebuild
+    _assert_index_encodings(idx)
+
+
+def _assert_same_state(a: dict, b: dict) -> None:
+    assert a.keys() == b.keys()
+    for key, x in a.items():
+        y = b[key]
+        if isinstance(x, np.ndarray):
+            assert x.dtype == y.dtype, key
+            np.testing.assert_array_equal(x, y, err_msg=key)
+        elif isinstance(x, (pa.Array, pa.ChunkedArray)):
+            assert x.equals(y), key
+        else:
+            assert x == y, key
+
+
+def test_default_encoded_index_reads_bit_equal(built, tmp_path):
+    """The encodings are invisible to readers: the same tables written with
+    parquet's defaults (dictionary everywhere, snappy) give the same reader
+    state and the same top-k."""
+    idx = str(tmp_path / "idx")
+    shutil.copytree(built, idx)
+    for path in _files(idx, "shards") + _files(idx, "docs"):
+        pq.write_table(pq.read_table(path), path)
+    assert "DELTA_BYTE_ARRAY" not in _column_encodings(_files(idx, "shards")[0])["term"]
+    _assert_same_state(IndexReader.build_state(idx), IndexReader.build_state(built))
+    sa, sb = Searcher(IndexReader(idx)), Searcher(IndexReader(built))
+    for q in QUERIES:
+        for algo in ("bmw", "taat"):
+            assert sa.search(q, k=10, algorithm=algo) == \
+                sb.search(q, k=10, algorithm=algo), (q, algo)
+    assert fetch_docs(idx, list(range(20)), ["repo", "path"]).equals(
+        fetch_docs(built, list(range(20)), ["repo", "path"]))
 
 
 # ------------------------------------------------ crash leftovers in docs/

@@ -9,12 +9,13 @@ empty and null rows and identifier edge cases.
 
 from collections import defaultdict
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
 from nmr_fair_dos_ray.pipelines.index_build import (
-    POS_STREAM_GAP, IndexConfig, Phase1Invert,
+    POS_STREAM_GAP, IndexConfig, Phase1Invert, radix_argsort,
 )
 from nmr_fair_dos_ray.sources.parquet_source import work_items
 from nmr_fair_dos_ray.tokenizer import Tokenizer, term_hash_one
@@ -118,3 +119,21 @@ def test_phase1_run_equals_python_postings(tmp_path, positions, restore_arrow_th
     docs = pq.read_table(tmp_path / res["docs_path"])
     assert docs["doc_id"].to_pylist() == list(range(len(ROWS)))
     assert docs["doclen"].to_pylist() == want_doclens
+
+
+@pytest.mark.parametrize("bits", [1, 16, 17, 31, 32, 48, 62])
+def test_radix_argsort_is_the_stable_argsort(bits):
+    """1 to 4 16-bit digits, with many duplicate keys (few distinct values
+    drawn, so equal keys must keep their input order)."""
+    rng = np.random.default_rng(bits)
+    top = (1 << bits) - 1
+    distinct = np.concatenate([[0, top], rng.integers(0, top, 50, endpoint=True)])
+    keys = rng.choice(distinct, 5000).astype(np.int64)
+    got = radix_argsort(keys)
+    np.testing.assert_array_equal(got, np.argsort(keys, kind="stable"))
+    assert int(keys.max()) == top
+
+
+def test_radix_argsort_empty_and_single():
+    assert radix_argsort(np.empty(0, np.int64)).size == 0
+    np.testing.assert_array_equal(radix_argsort(np.array([7], np.int64)), [0])

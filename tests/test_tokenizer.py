@@ -25,9 +25,9 @@ CASES = [
 @pytest.mark.parametrize("mode", ["code", "simple"])
 def test_batch_matches_row_impl(mode):
     tok = Tokenizer(mode)
-    rows, terms = tok.batch_token_rows(pa.array(CASES, pa.string()))
+    rows, ids, _, terms = tok.batch_token_ids(pa.array(CASES, pa.string()), False)
     got: dict[int, Counter] = {}
-    for r, t in zip(rows.tolist(), terms.to_pylist()):
+    for r, t in zip(rows.tolist(), terms.take(pa.array(ids)).to_pylist()):
         got.setdefault(r, Counter())[t] += 1
     for i, text in enumerate(CASES):
         assert got.get(i, Counter()) == Counter(tok.tokenize(text or "")), (mode, text)
@@ -67,9 +67,9 @@ def test_query_tokenizer_exact_fields():
 @given(st.lists(st.text(max_size=40), max_size=8), st.sampled_from(["code", "simple"]))
 def test_batch_row_equivalence_property(texts, mode):
     tok = Tokenizer(mode)
-    rows, terms = tok.batch_token_rows(pa.array(texts, pa.string()))
+    rows, ids, _, terms = tok.batch_token_ids(pa.array(texts, pa.string()), False)
     got: dict[int, Counter] = {}
-    for r, t in zip(rows.tolist(), terms.to_pylist()):
+    for r, t in zip(rows.tolist(), terms.take(pa.array(ids)).to_pylist()):
         got.setdefault(r, Counter())[t] += 1
     for i, text in enumerate(texts):
         assert got.get(i, Counter()) == Counter(tok.tokenize(text))
@@ -113,8 +113,6 @@ def test_batch_stream_is_position_exact(texts, mode, layout):
     assert got == want
     assert terms.type == pa.string()
     assert len(set(terms.to_pylist())) == len(terms)  # one id per term
-    rows2, strs, pos2 = tok.batch_token_positions(arr)
-    assert list(zip(rows2.tolist(), strs.to_pylist(), pos2.tolist())) == want
 
 
 @given(
