@@ -211,7 +211,9 @@ def main(argv: list[str] | None = None) -> int:
                         "(one index per scored field)")
     s.add_argument("--query", required=True)
     s.add_argument("-k", type=int, default=10)
-    s.add_argument("--algorithm", choices=("bmw", "taat"), default="bmw")
+    s.add_argument("--algorithm", choices=("bmw", "taat"), default=None,
+                   help="bm25 scoring algorithm (default: the planner picks "
+                        "by the query terms' posting blocks)")
     s.add_argument(
         "--mode",
         choices=("bm25", "and", "phrase", "near", "prefix", "regex",

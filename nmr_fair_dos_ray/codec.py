@@ -107,27 +107,35 @@ def varint_position_lists(
     return data, cs[np.concatenate([starts, [abs_pos.size]])[1:]] - cs[starts]
 
 
-def varint_decode(buf: bytes, n: int | None = None) -> np.ndarray:
-    """Decode LEB128 bytes back to uint64 values (vectorized)."""
+def varint_decode(buf, n: int | None = None) -> np.ndarray:
+    """Decode LEB128 bytes (``bytes`` or a uint8 array) back to uint64
+    values (vectorized). ``n``, when given, must equal the value count.
+
+    Every value is read at its end byte (high bit clear), which holds its
+    top 7 bits; each further pass carries only the values with a
+    continuation byte left below, shifting in 7 more bits. Skewed input
+    (most values < 128) costs one pass plus passes over a shrinking tail."""
     b = np.frombuffer(buf, dtype=np.uint8)
     if b.size == 0:
         if n:
             raise ValueError(f"empty varint stream, expected {n} values")
         return np.empty(0, np.uint64)
-    is_last = (b & 0x80) == 0
-    n_vals = int(is_last.sum())
-    if n is not None and n != n_vals:
-        raise ValueError(f"varint stream has {n_vals} values, expected {n}")
-    # value id per byte; position of byte within its value
-    starts_mask = np.concatenate([[True], is_last[:-1]])
-    val_id = np.cumsum(starts_mask) - 1
-    starts = np.flatnonzero(starts_mask)
-    pos = np.arange(b.size) - starts[val_id]
-    vals = np.zeros(n_vals, dtype=np.uint64)
-    payload = (b & 0x7F).astype(np.uint64)
-    for j in range(int(pos.max()) + 1):
-        m = pos == j
-        vals[val_id[m]] |= payload[m] << np.uint64(7 * j)
+    cont = b > 0x7F
+    if cont[-1]:
+        raise ValueError("truncated varint stream: last value has no end byte")
+    ends = np.flatnonzero(~cont)
+    if n is not None and n != ends.size:
+        raise ValueError(f"varint stream has {ends.size} values, expected {n}")
+    vals = b[ends].astype(np.uint64)
+    if ends.size == b.size:  # every value is one byte (typical of tfs)
+        return vals
+    # cont[-1] is False, so index -1 (before the first byte) reads "no byte"
+    live = np.flatnonzero(cont[ends - 1])
+    at = ends[live] - 1
+    while live.size:
+        vals[live] = (vals[live] << np.uint64(7)) | (b[at] & 0x7F)
+        more = cont[at - 1]
+        live, at = live[more], at[more] - 1
     return vals
 
 

@@ -269,39 +269,6 @@ def upsert_latest(index_dir: str, key_col: str) -> int:
 
 
 # --------------------------------------------------------------- compaction
-def _decode_all_blocks(flat: pa.Array) -> tuple[np.ndarray, np.ndarray]:
-    """Decode EVERY block of a shard file in one vectorized pass →
-    (doc_ids, tfs) concatenated in (term, doc_id) order.
-
-    Same math as IndexReader._decode_range, applied across term boundaries:
-    each block-start delta is reconstructed as ``base[j] - last[j-1]`` —
-    negative at a term change, which a plain cumsum handles exactly."""
-    from nmr_fair_dos_ray.codec import varint_decode
-    from nmr_fair_dos_ray.search.engine import _binary_views
-
-    nb = len(flat)
-    ns = flat.field("n").to_numpy(zero_copy_only=False).astype(np.int64)
-    total = int(ns.sum())
-    if total == 0:
-        return np.empty(0, np.int64), np.empty(0, np.int64)
-    d_offs, d_data = _binary_views(flat.field("docs"))
-    t_offs, t_data = _binary_views(flat.field("tfs"))
-    gaps = varint_decode(d_data[d_offs[0]:d_offs[nb]].tobytes(), total - nb)
-    full = np.empty(total, np.int64)
-    bstarts = np.concatenate([[0], np.cumsum(ns)[:-1]])
-    mask = np.ones(total, bool)
-    mask[bstarts] = False
-    full[mask] = gaps.astype(np.int64)
-    bases = flat.field("doc_base").to_numpy(zero_copy_only=False)
-    lasts = flat.field("doc_last").to_numpy(zero_copy_only=False)
-    full[bstarts[0]] = bases[0]
-    if nb > 1:
-        full[bstarts[1:]] = bases[1:] - lasts[:-1]
-    doc_ids = np.cumsum(full)
-    tfs = varint_decode(t_data[t_offs[0]:t_offs[nb]].tobytes(), total).astype(np.int64)
-    return doc_ids, tfs
-
-
 def _seg_sum(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     """Per-segment sums for segments ``[offsets[i], offsets[i+1])`` — safe
     for EMPTY segments (unlike np.add.reduceat)."""
@@ -320,13 +287,21 @@ def decode_shard_table(t: pa.Table):
     none), and those lists' absolute positions concatenated — ``tf`` values
     per positional posting."""
     from nmr_fair_dos_ray.codec import varint_decode
-    from nmr_fair_dos_ray.search.engine import _binary_views
+    from nmr_fair_dos_ray.search.engine import _binary_views, decode_block_spans
 
     blocks = t["blocks"].combine_chunks()
     flat = blocks.flatten()
     boff = blocks.offsets.to_numpy(zero_copy_only=False).astype(np.int64)
     b_n = flat.field("n").to_numpy(zero_copy_only=False).astype(np.int64)
-    docs, tfs = _decode_all_blocks(flat)
+    # every block as ONE span: a block-start delta crossing a term boundary
+    # is negative, which the decoder's cumsum handles exactly
+    docs, tfs, _ = decode_block_spans(
+        {"n": b_n,
+         "doc_base": flat.field("doc_base").to_numpy(zero_copy_only=False),
+         "doc_last": flat.field("doc_last").to_numpy(zero_copy_only=False),
+         "docs": _binary_views(flat.field("docs")),
+         "tfs": _binary_views(flat.field("tfs"))},
+        np.zeros(1, np.int64), np.array([len(flat)]))
     counts = _seg_sum(b_n, boff)
     if "pos_stream" not in t.column_names:
         return counts, docs, tfs, None

@@ -15,13 +15,23 @@ state. Interactive serving across many actors is the doc-partitioned pool
 in ``search/distributed.py``; every surface routes a query mode through the
 one dispatch :func:`run_query`.
 
-The reader keeps the index Arrow/numpy-resident: term lookup is one dict
-probe; block metadata (doc_base/doc_last/block max) are flat numpy arrays
-with per-term offsets; compressed posting bytes stay in the Arrow buffers
-read (memory-mapped) from the shard files, decoded per block on demand.
-Block-max bounds are derived at load (``IndexReader.build_state``) as the
-scorer's idf times the stored idf-free block max, so they are valid for
-whatever stats the manifest holds.
+The reader keeps the index Arrow/numpy-resident: term lookup is a binary
+search over the sorted permutation; block metadata (doc_base/doc_last/block
+max) are flat numpy arrays with per-term offsets; compressed posting bytes
+stay in the Arrow buffers read (memory-mapped) from the shard files. One
+routine decodes them (:func:`decode_block_spans`): any set of block spans,
+gathered into one gap stream and one tf stream, one varint pass each. Block-max bounds and the per-term idf are derived at load
+(``IndexReader.build_state``), so they are valid for whatever stats the
+manifest holds.
+
+Multi-term queries score through one batched path: term expansions
+(prefix, regex/wildcard, fuzzy) come back as term-id arrays in term order,
+``IndexReader.postings_many`` decodes all of their postings at once, and
+``Searcher._score_map`` scores them in one ``bm25_term_scores`` call and
+sums per doc with one ``np.bincount`` — the cost of a bm25 query with as
+many postings, not a fixed cost per expanded term. ``Searcher.search``
+plans: TAAT when the query terms hold at most :data:`TAAT_MAX_BLOCKS`
+posting blocks, block-max WAND otherwise.
 
 Determinism: scores are float64; per-doc accumulation order is the
 lexicographic order of the unique query terms in BOTH algorithms, so TAAT,
@@ -115,15 +125,12 @@ def _read_shard(path: str) -> pa.Table:
     return t
 
 
-def _block_bounds(df: np.ndarray, boff: np.ndarray, b_maxtf: np.ndarray,
-                  n_docs: int) -> np.ndarray:
-    """Per-block BM25 upper bound ``bm25_idf(df, n_docs) * max_tf_norm`` —
-    bit for bit the product the scorer forms for the block's best posting
-    (``bm25_term_scores``: the same scalar idf times its tf-norm), so the
-    bound holds by construction. The scalar idf runs once per distinct df."""
+def _term_idf(df: np.ndarray, n_docs: int) -> np.ndarray:
+    """``bm25_idf(df, n_docs)`` per term row — the scalar function, run once
+    per distinct df, so every score and bound the reader forms from it is
+    bit-equal to the oracle's."""
     u, inv = np.unique(df, return_inverse=True)
-    idf = np.array([bm25_idf(int(d), n_docs) for d in u], np.float64)
-    return np.repeat(idf[inv], np.diff(boff)) * b_maxtf
+    return np.array([bm25_idf(int(d), n_docs) for d in u], np.float64)[inv]
 
 
 class IndexReader:
@@ -149,6 +156,9 @@ class IndexReader:
     #: 10^12 docs × 2^22 still fits int64. Terms whose streams exceed it
     #: fall back to the per-query candidate path (checked at build time).
     POS_KEY_STRIDE = 1 << 22
+    #: largest multi-term request :meth:`postings_many` serves through the
+    #: per-term postings LRU (which holds 256 terms)
+    LRU_TERMS = 32
 
     def __init__(
         self,
@@ -238,7 +248,7 @@ class IndexReader:
                 df=np.empty(0, np.int64),
                 boff=np.zeros(1, np.int64),
                 b_base=np.empty(0, np.int64), b_last=np.empty(0, np.int64),
-                b_n=np.empty(0, np.int32),
+                idf=np.empty(0, np.float64), b_n=np.empty(0, np.int32),
                 b_max=np.empty(0, np.float64), b_maxtf=np.empty(0, np.float64),
                 b_docs=pa.array([], pa.binary()), b_tfs=pa.array([], pa.binary()),
             )
@@ -249,18 +259,22 @@ class IndexReader:
             df = t["df"].to_numpy(zero_copy_only=False)
             boff = blocks.offsets.to_numpy(zero_copy_only=False).astype(np.int64)
             b_maxtf = flat.field("max_tf_norm").to_numpy(zero_copy_only=False)
+            # df and n_docs are corpus-wide in every doc-range slice, so the
+            # pool, QueryScorer and the local Searcher share idf and bounds.
+            # A block's bound is bit for bit the product the scorer forms for
+            # its best posting (the same idf times its tf-norm), so it holds
+            # by construction.
+            idf = _term_idf(df, int(manifest["stats"]["n_docs"]))
             st.update(
                 terms=terms,
                 order=pc.sort_indices(terms).to_numpy(zero_copy_only=False).astype(np.int64),
                 df=df,
+                idf=idf,
                 boff=boff,
                 b_base=flat.field("doc_base").to_numpy(zero_copy_only=False),
                 b_last=flat.field("doc_last").to_numpy(zero_copy_only=False),
                 b_n=flat.field("n").to_numpy(zero_copy_only=False),
-                # derived before any doc-range slicing: the pool, QueryScorer
-                # and the local Searcher share these bounds
-                b_max=_block_bounds(df, boff, b_maxtf,
-                                    int(manifest["stats"]["n_docs"])),
+                b_max=np.repeat(idf, np.diff(boff)) * b_maxtf,
                 b_maxtf=b_maxtf,
                 b_docs=flat.field("docs"),
                 b_tfs=flat.field("tfs"),
@@ -302,8 +316,10 @@ class IndexReader:
         self.n_docs = int(stats["n_docs"])
         self.avgdl = float(stats["avgdl"])
         self._terms_arr = st["terms"]
+        self._term_offs, self._term_data = _binary_views(self._terms_arr)
         self._order = st["order"]
         self._df = st["df"]
+        self._idf = st["idf"]
         self._boff = st["boff"]
         self._b_base = st["b_base"]
         self._b_last = st["b_last"]
@@ -320,8 +336,10 @@ class IndexReader:
         # raw byte views for vectorized multi-block decode: consecutive
         # blocks' byte streams are contiguous in the (combined) value buffer,
         # so a term's whole posting list decodes in ONE varint pass
-        self._docs_offs, self._docs_data = _binary_views(self._b_docs)
-        self._tfs_offs, self._tfs_data = _binary_views(self._b_tfs)
+        self._blocks = {"n": self._b_n, "doc_base": self._b_base,
+                        "doc_last": self._b_last,
+                        "docs": _binary_views(self._b_docs),
+                        "tfs": _binary_views(self._b_tfs)}
         self._postings_cache: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         # decoded-positions LRU, BYTE-budgeted (entry-count LRUs thrash as
         # soon as the hot vocabulary exceeds the count — a 40-phrase working
@@ -344,8 +362,9 @@ class IndexReader:
         # stays cheap), repeat touches full-decode into the LRU so hot
         # terms subset from cache instead of re-seeking every query
         self._p_touch: dict[str, int] = {}
-        self._prefix_cache: dict[str, list[str]] = {}
-        self.blocks_decoded = 0  # cumulative; see _decode_range
+        self._scan_cache: dict[tuple[str, str], np.ndarray] = {}
+        self._is_token: np.ndarray | None = None  # see _token_terms
+        self.blocks_decoded = 0  # cumulative; see _decode_blocks
         self._tid_cache: dict[str, int | None] = {}
         self._tomb = st.get("tomb")  # sorted unique np.int64 doc_ids or None
         # doc-partitioned slice bounds [lo, hi): boundary-block postings
@@ -408,43 +427,19 @@ class IndexReader:
         pos = np.searchsorted(self._doc_ids_sorted, doc_ids)
         return self._doclens_sorted[pos]
 
-    def _decode(self, j: int) -> tuple[np.ndarray, np.ndarray]:
-        """Decode global block ``j`` -> (doc_ids, tfs)."""
-        return self._decode_range(j, j + 1)
+    def _decode_blocks(
+        self, j0: np.ndarray, j1: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Raw postings of the block spans ``[j0[i], j1[i])`` through
+        :func:`decode_block_spans`, counted in ``blocks_decoded`` (the
+        deterministic work counter)."""
+        self.blocks_decoded += int((j1 - j0).sum())
+        return decode_block_spans(self._blocks, j0, j1)
 
     def _decode_range(self, j0: int, j1: int) -> tuple[np.ndarray, np.ndarray]:
-        """Decode blocks [j0, j1) of ONE term in a single vectorized pass.
-
-        The gap streams of consecutive blocks are contiguous bytes, so one
-        ``varint_decode`` recovers every gap; block-boundary deltas are
-        reconstructed from the stored doc_base/doc_last metadata
-        (``base[j] - last[j-1]``) and one cumsum yields all doc_ids.
-        """
-        if j1 <= j0:  # a doc-range slice keeps out-of-range terms blockless
-            return np.empty(0, np.int64), np.empty(0, np.int64)
-        self.blocks_decoded += j1 - j0  # deterministic work counter (bench)
-        ns = self._b_n[j0:j1].astype(np.int64)
-        total = int(ns.sum())
-        gaps = varint_decode(
-            self._docs_data[self._docs_offs[j0] : self._docs_offs[j1]].tobytes(),
-            total - (j1 - j0),
-        )
-        full = np.empty(total, np.int64)
-        bstarts = np.concatenate([[0], np.cumsum(ns)[:-1]])
-        mask = np.ones(total, bool)
-        mask[bstarts] = False
-        full[mask] = gaps.astype(np.int64)
-        bases = self._b_base[j0:j1]
-        lasts = self._b_last[j0:j1]
-        full[bstarts[0]] = bases[0]
-        if j1 - j0 > 1:
-            full[bstarts[1:]] = bases[1:] - lasts[:-1]
-        doc_ids = np.cumsum(full)
-        tfs = varint_decode(
-            self._tfs_data[self._tfs_offs[j0] : self._tfs_offs[j1]].tobytes(),
-            total,
-        ).astype(np.int64)
-        return doc_ids, tfs
+        """Raw (doc_ids, tfs) of blocks [j0, j1) of ONE term."""
+        docs, tfs, _ = self._decode_blocks(np.array([j0]), np.array([j1]))
+        return docs, tfs
 
     def deleted_mask(self, docs: np.ndarray) -> np.ndarray | None:
         """Which of ``docs`` are tombstoned (deleted) OR outside this
@@ -482,146 +477,217 @@ class IndexReader:
         tid = self._lookup(term)
         if tid is None:
             return np.empty(0, np.int64), np.empty(0, np.int64)
-        out = self._decode_range(int(self._boff[tid]), int(self._boff[tid + 1]))
-        dm = self.deleted_mask(out[0])
-        if dm is not None:
-            keep = ~dm
-            out = (out[0][keep], out[1][keep])
+        docs, tfs, _ = self._decode_live(np.array([tid]))
         if len(self._postings_cache) >= 256:
             self._postings_cache.pop(next(iter(self._postings_cache)))
-        self._postings_cache[term] = out
-        return out
+        self._postings_cache[term] = docs, tfs
+        return docs, tfs
+
+    def postings_many(
+        self, tids: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Postings of the terms ``tids`` concatenated in the given order,
+        tombstoned docs removed -> ``(doc_ids, tfs, counts)`` with
+        ``counts[i]`` the postings of ``tids[i]``. The multi-term scorer,
+        the match and facet sets and the query-string unions all read
+        postings through it.
+
+        Up to :attr:`LRU_TERMS` terms are served through :meth:`postings`,
+        so the Zipf head stays decoded across queries; a larger request
+        (an expansion) is decoded in one batched pass with no per-term
+        Python and bypasses the LRU instead of flushing it."""
+        tids = np.asarray(tids, np.int64)
+        if tids.size <= self.LRU_TERMS:
+            parts = [self.postings(t) for t in self.term_text(tids)]
+            counts = np.array([d.size for d, _ in parts], np.int64)
+            if len(parts) == 1:
+                return parts[0][0], parts[0][1], counts
+            if not parts:
+                return np.empty(0, np.int64), np.empty(0, np.int64), counts
+            return (np.concatenate([d for d, _ in parts]),
+                    np.concatenate([f for _, f in parts]), counts)
+        return self._decode_live(tids)
+
+    def _decode_live(
+        self, tids: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`_decode_blocks` of whole terms, tombstoned docs removed."""
+        docs, tfs, counts = self._decode_blocks(self._boff[tids],
+                                                self._boff[tids + 1])
+        dm = self.deleted_mask(docs)
+        if dm is not None:
+            keep = ~dm
+            live = np.concatenate([[0], np.cumsum(keep)])
+            ends = np.cumsum(counts)
+            counts = live[ends] - live[ends - counts]
+            docs, tfs = docs[keep], tfs[keep]
+        return docs, tfs, counts
+
+    def postings_union(self, tids: np.ndarray) -> np.ndarray:
+        """Sorted live doc_ids holding ANY of the terms ``tids``; empty for
+        an empty expansion (as a ``must`` that correctly yields zero
+        results: the required atom matched nothing)."""
+        docs, _, counts = self.postings_many(tids)
+        return docs if counts.size == 1 else _group_docs(docs)[0]
+
+    def term_ids(self, terms: list[str]) -> np.ndarray:
+        """Row ids of the index terms among ``terms``, in the given order
+        (absent terms dropped)."""
+        ids = [tid for t in terms if (tid := self._lookup(t)) is not None]
+        return np.array(ids, np.int64)
+
+    def term_text(self, tids: np.ndarray) -> list[str]:
+        """The term strings of row ids ``tids`` (sliced from the dictionary's
+        UTF-8 buffer: several times cheaper than Arrow ``to_pylist``)."""
+        offs, data = self._term_offs, self._term_data
+        return [data[offs[i]:offs[i + 1]].tobytes().decode()
+                for i in np.asarray(tids).tolist()]
+
+    def sorted_terms(self, tids: np.ndarray) -> np.ndarray:
+        """Unique row ids in ascending term order — the scorer's
+        accumulation order."""
+        u = np.unique(np.asarray(tids, np.int64))
+        if u.size < 2:
+            return u
+        by_term = pc.sort_indices(self._terms_arr.take(pa.array(u)))
+        return u[by_term.to_numpy(zero_copy_only=False)]
+
+    def n_blocks(self, tids: np.ndarray) -> int:
+        """Posting blocks of the terms ``tids`` — metadata only."""
+        return int((self._boff[tids + 1] - self._boff[tids]).sum())
 
     def idf(self, term: str) -> float:
         tid = self._lookup(term)
-        return bm25_idf(int(self._df[tid]), self.n_docs) if tid is not None else 0.0
+        return float(self._idf[tid]) if tid is not None else 0.0
 
     @property
     def has_positions(self) -> bool:
         return self._p_offs is not None
 
+    def _token_terms(self) -> np.ndarray:
+        """Per term row: not a synthetic exact-field term (``lang:…``)."""
+        if self._is_token is None:
+            self._is_token = ~pc.match_substring(
+                self._terms_arr, ":").to_numpy(zero_copy_only=False)
+        return self._is_token
+
+    def _scan_ids(self, scan, pattern: str) -> np.ndarray:
+        """Row ids, in ascending term order, of the terms the vectorized
+        Arrow predicate ``scan(terms, pattern)`` selects (e.g.
+        ``pc.starts_with``) — one scan of the dictionary taken through the
+        sorted permutation, memoized per (scan, pattern): the dictionary of
+        a reader never changes."""
+        key = (scan.__name__, pattern)
+        hit = self._scan_cache.get(key)
+        if hit is None:
+            try:
+                mask = scan(self._terms_arr, pattern).to_numpy(zero_copy_only=False)
+            except pa.lib.ArrowInvalid as e:
+                raise ValueError(f"invalid regex pattern {pattern!r}: {e}") from e
+            hit = self._order[mask[self._order]]
+            if len(self._scan_cache) >= 64:
+                self._scan_cache.pop(next(iter(self._scan_cache)))
+            self._scan_cache[key] = hit
+        return hit
+
     def terms_with_prefix(self, prefix: str) -> list[str]:
         """All index terms starting with ``prefix`` (e.g. ``"lang:"`` for
-        facet-value enumeration) — one vectorized C++ scan, memoized."""
-        hit = self._prefix_cache.get(prefix)
-        if hit is None:
-            mask = pc.starts_with(self._terms_arr, pattern=prefix)
-            hit = sorted(self._terms_arr.filter(mask).to_pylist())
-            if len(self._prefix_cache) >= 64:
-                self._prefix_cache.pop(next(iter(self._prefix_cache)))
-            self._prefix_cache[prefix] = hit
-        return hit
+        facet-value enumeration), sorted."""
+        return self.term_text(self._scan_ids(pc.starts_with, prefix))
+
+    def _top_terms(self, tids: np.ndarray, max_expansions: int | None) -> np.ndarray:
+        """ES's ``top_terms_N`` rewrite: keep the ``max_expansions`` terms
+        of ``tids`` (term-ordered) with the highest (df desc, term asc),
+        still in term order."""
+        if max_expansions is not None and tids.size > max_expansions:
+            top = np.argsort(-self._df[tids], kind="stable")[:max_expansions]
+            tids = tids[np.sort(top)]
+        return tids
 
     def expand_prefix(
         self, prefix: str, max_expansions: int | None = None
-    ) -> list[str]:
-        """Index terms starting with ``prefix``, for prefix-query rewrite
-        (the ES ``prefix`` / ``match_phrase_prefix`` rewrite step — the
-        reference's ES backend answers these from the same term dictionary).
+    ) -> np.ndarray:
+        """Row ids of the index terms starting with ``prefix``, in ascending
+        term order, for prefix-query rewrite (the ES ``prefix`` /
+        ``match_phrase_prefix`` rewrite step — the reference's ES backend
+        answers these from the same term dictionary); :meth:`term_text`
+        gives their strings.
 
         Synthetic exact-field terms (``lang:…``) are excluded unless the
         prefix itself is field-scoped (contains ``:``). With
         ``max_expansions`` the expansion keeps the top terms by (df desc,
-        term asc) — ES's ``top_terms_N`` rewrite — re-sorted ascending so
+        term asc) — ES's ``top_terms_N`` rewrite — still in term order, so
         scoring stays in sorted-unique-term order (bit-equal to an explicit
         multi-term query). Deterministic either way."""
-        terms = self.terms_with_prefix(prefix)
+        tids = self._scan_ids(pc.starts_with, prefix)
         if ":" not in prefix:
-            terms = [t for t in terms if ":" not in t]
-        if max_expansions is not None and len(terms) > max_expansions:
-            dfs = np.array([int(self._df[self._lookup(t)]) for t in terms])
-            order = np.lexsort((np.array(terms), -dfs))[:max_expansions]
-            terms = sorted(np.array(terms)[order].tolist())
-        return terms
+            tids = tids[self._token_terms()[tids]]
+        return self._top_terms(tids, max_expansions)
 
     def expand_regex(
         self, pattern: str, max_expansions: int | None = None
-    ) -> list[str]:
-        """Index terms whose WHOLE text matches ``pattern`` (the ES
-        ``regexp``/``wildcard`` query's anchored semantics), for a
-        regex-query rewrite onto the scored-disjunction primitives.
+    ) -> np.ndarray:
+        """Row ids (ascending term order) of the index terms whose WHOLE
+        text matches ``pattern`` (the ES ``regexp``/``wildcard`` query's
+        anchored semantics), for a regex-query rewrite onto the
+        scored-disjunction primitives.
 
         One vectorized ``pc.match_substring_regex`` scan over the Arrow
-        term dictionary with an anchored pattern — no per-term Python.
+        term dictionary with an anchored pattern — no per-term Python —
+        memoized per pattern like prefix scans.
         Synthetic exact-field terms are excluded; the ``max_expansions``
-        cap keeps the top terms by (df desc, term asc) then re-sorts
-        ascending, exactly like :meth:`expand_prefix`. Invalid patterns
-        raise ``ValueError``."""
-        try:
-            hits = pc.match_substring_regex(
-                self._terms_arr, f"^(?:{pattern})$"
-            ).to_numpy(zero_copy_only=False)
-        except pa.lib.ArrowInvalid as e:
-            raise ValueError(f"invalid regex pattern {pattern!r}: {e}") from e
-        terms = sorted(
-            t for t in self._terms_arr.take(
-                pa.array(np.flatnonzero(hits))
-            ).to_pylist()
-            if ":" not in t
-        )
-        if max_expansions is not None and len(terms) > max_expansions:
-            dfs = np.array([int(self._df[self._lookup(t)]) for t in terms])
-            order = np.lexsort((np.array(terms), -dfs))[:max_expansions]
-            terms = sorted(np.array(terms)[order].tolist())
-        return terms
+        cap keeps the top terms by (df desc, term asc), exactly like
+        :meth:`expand_prefix`. Invalid patterns raise ``ValueError``."""
+        tids = self._scan_ids(pc.match_substring_regex, f"^(?:{pattern})$")
+        return self._top_terms(tids[self._token_terms()[tids]], max_expansions)
 
-    def expand_fuzzy(self, term: str, max_edits: int = 1) -> list[str]:
-        """Index terms within Levenshtein distance ``max_edits`` of ``term``
-        (the ES ``fuzziness`` expansion), via a SymSpell-style deletion
-        index: if lev(a, b) ≤ e then some ≤e-deletion variant of a equals
-        one of b, so candidates = dictionary terms sharing a deletion
-        variant, verified with the true (plain, transposition-free)
-        distance — the same metric DuckDB's ``levenshtein()`` computes, so
-        the expansion is SQL-oracle-checkable.
+    def expand_fuzzy(self, term: str, max_edits: int = 1) -> np.ndarray:
+        """Row ids (ascending term order) of the index terms within
+        Levenshtein distance ``max_edits`` of ``term`` (the ES
+        ``fuzziness`` expansion), via a SymSpell-style deletion index: if
+        lev(a, b) ≤ e then some ≤e-deletion variant of a equals one of b,
+        so candidates = dictionary terms sharing a deletion variant,
+        verified with the true (plain, transposition-free) distance — the
+        same metric DuckDB's ``levenshtein()`` computes, so the expansion
+        is SQL-oracle-checkable.
 
         The deletion index builds lazily ONCE per reader (i.e. once per
         serving actor — the stateful-stage pattern) over this reader's term
         dictionary, which a doc-range slice keeps whole, so every serving
-        actor expands exactly like the local reader.
+        actor expands exactly like the local reader. The build is
+        vectorized over the whole dictionary (:func:`_deletion_hashes`).
 
         Memory bound (VERDICT round-4 item 3): variants are stored as two
-        sorted numpy arrays (variant HASH uint64, term id int64 — 16 B per
-        entry) instead of a Python dict of strings (~100+ B per entry, the
-        round-3 layout that was vocabulary-unbounded in practice). Hash
-        collisions can only ADD candidates, and every candidate is verified
-        with the true Levenshtein distance, so expansions are identical."""
+        sorted numpy arrays (variant hash int64, term id int64 — 16 B per
+        entry, each term's distinct variants once) instead of a Python
+        dict of strings. Hash collisions can only ADD candidates, and every
+        candidate is verified with the true Levenshtein distance, so
+        expansions are exact."""
         if max_edits not in (1, 2):
             raise ValueError("max_edits must be 1 or 2")
         idx = self._fuzzy_del.get(max_edits)
         if idx is None:
-            hashes: list[int] = []
-            tids: list[int] = []
-            for tid in range(len(self._terms_arr)):
-                t = self._terms_arr[tid].as_py()
-                if ":" in t:
-                    continue
-                for v in _deletion_variants(t, max_edits):
-                    # process-salted str hash is fine: the index is built
-                    # and queried within one reader's lifetime
-                    hashes.append(hash(v))
-                    tids.append(tid)
-            h = np.array(hashes, np.int64)
-            ts = np.array(tids, np.int64)
-            o = np.argsort(h, kind="stable")
-            idx = (h[o], ts[o])
+            ids = np.flatnonzero(self._token_terms())
+            hs, ts = [], []
+            # chunks of terms bound the build's transient arrays
+            for c in np.array_split(ids, max(1, -(-ids.size // 1024))):
+                h, owner = _deletion_hashes(self._terms_arr.take(pa.array(c)), max_edits)
+                hs.append(h)
+                ts.append(c[owner])
+            h = np.concatenate(hs)
+            o = np.argsort(h)
+            idx = (h[o], np.concatenate(ts)[o])
             self._fuzzy_del[max_edits] = idx
         q = term.lower()
         h_idx, t_idx = idx
-        qh = np.array(
-            sorted({hash(v) for v in _deletion_variants(q, max_edits)}),
-            np.int64,
-        )
-        lo = np.searchsorted(h_idx, qh, side="left")
-        hi = np.searchsorted(h_idx, qh, side="right")
-        cand_ids: set[int] = set()
-        for a, b in zip(lo, hi):
-            cand_ids.update(t_idx[a:b].tolist())
-        out = []
-        for tid in cand_ids:
-            t = self._terms_arr[tid].as_py()
-            if _levenshtein_leq(q, t, max_edits):
-                out.append(t)
-        return sorted(out)
+        qh = np.array(sorted({_variant_hash(v) for v in _deletion_variants(q, max_edits)}),
+                      np.int64)
+        cand = np.unique(t_idx[_gather_ranges(
+            np.searchsorted(h_idx, qh, side="left"),
+            np.searchsorted(h_idx, qh, side="right"))])
+        hits = sorted((t, tid) for tid, t in zip(cand.tolist(), self.term_text(cand))
+                      if _levenshtein_leq(q, t, max_edits))
+        return np.array([tid for _, tid in hits], np.int64)
 
     def positions(
         self, term: str, candidates: np.ndarray | None = None
@@ -786,13 +852,9 @@ class IndexReader:
         vstart = np.concatenate([[0], np.cumsum(tfs)])
         v0, v1 = vstart[sel], vstart[sel + 1]
         bstart = np.where(v0 == 0, 0, ends[v0 - 1] + 1)
-        blen = (ends[v1 - 1] + 1) - bstart
-        total = int(blen.sum())
-        cum = np.concatenate([[0], np.cumsum(blen)[:-1]])
-        flat = (np.repeat(bstart, blen) + np.arange(total, dtype=np.int64)
-                - np.repeat(cum, blen))
+        flat = _gather_ranges(bstart, ends[v1 - 1] + 1)
         ctfs = tfs[sel]
-        vals = varint_decode(seg[flat].tobytes(), int(ctfs.sum())).astype(np.int64)
+        vals = varint_decode(seg[flat], int(ctfs.sum())).view(np.int64)
         offsets = np.concatenate([[0], np.cumsum(ctfs)])
         starts = offsets[:-1]
         c = np.cumsum(vals)
@@ -830,7 +892,7 @@ class IndexReader:
         bi = np.searchsorted(lasts, docs)  # block whose doc_last >= doc
         valid = bi < (j1 - j0)
         for blk in np.unique(bi[valid]):
-            d, f = self._decode(j0 + int(blk))
+            d, f = self._decode_range(j0 + int(blk), j0 + int(blk) + 1)
             sel = np.flatnonzero(valid & (bi == blk))
             pos = np.searchsorted(d, docs[sel])
             ok = pos < d.size
@@ -924,13 +986,8 @@ def _subset_positions(
     docs, offs, flat = triple
     idx, ok = sorted_lookup(candidates, docs)
     sel = idx[ok]
-    tfs = offs[sel + 1] - offs[sel]
-    seg = np.concatenate([[0], np.cumsum(tfs)])
-    total = int(seg[-1])
-    flat_idx = (np.repeat(offs[sel], tfs)
-                + np.arange(total, dtype=np.int64)
-                - np.repeat(seg[:-1], tfs))
-    return docs[sel], seg, flat[flat_idx]
+    seg = np.concatenate([[0], np.cumsum(offs[sel + 1] - offs[sel])])
+    return docs[sel], seg, flat[_gather_ranges(offs[sel], offs[sel + 1])]
 
 
 def phrase_intersect(
@@ -985,16 +1042,9 @@ def _rank_key_builder(plists, inter: np.ndarray, K: int, dt):
     def _keys(t: str) -> np.ndarray:
         docs, offs, flat = plists[t]
         idx = np.searchsorted(docs, inter)
-        lens = offs[idx + 1] - offs[idx]
-        total = int(lens.sum())
-        seg_starts = np.concatenate([[0], np.cumsum(lens)[:-1]])
-        flat_idx = (
-            np.repeat(offs[idx], lens)
-            + np.arange(total, dtype=np.int64)
-            - np.repeat(seg_starts, lens)
-        )
-        return (np.repeat(ranks, lens) * dt(K)
-                + flat[flat_idx].astype(dt, copy=False))
+        lo, hi = offs[idx], offs[idx + 1]
+        return (np.repeat(ranks, hi - lo) * dt(K)
+                + flat[_gather_ranges(lo, hi)].astype(dt, copy=False))
 
     return _keys
 
@@ -1128,15 +1178,104 @@ def parse_query_string(query: str) -> list[tuple[str, str, str]]:
     return out
 
 
-def _postings_union(docs_of, terms: list[str]) -> np.ndarray:
-    """Union of posting doc_ids over an expansion's terms (sorted unique).
-    ``docs_of`` maps term -> doc_id array (local reader postings or a sharded
-    per-owner fetch). Empty expansion -> empty array — as a ``must`` that
-    correctly yields zero results (required atom matched nothing)."""
-    parts = [d for t in terms if (d := docs_of(t)).size]
-    if not parts:
-        return np.empty(0, np.int64)
-    return np.unique(np.concatenate(parts))
+def decode_block_spans(
+    blocks: dict, j0: np.ndarray, j1: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The one posting decoder: blocks ``[j0[i], j1[i])`` for every i of
+    the flat block columns ``blocks`` (``n``, ``doc_base``, ``doc_last``
+    arrays; ``docs``, ``tfs`` as ``_binary_views`` of the varint bytes),
+    raw (tombstones not applied) -> ``(doc_ids, tfs, counts)``: the spans'
+    postings concatenated in the given order, ``counts`` the postings of
+    each span.
+
+    The gap and tf bytes of every block are gathered into one stream each
+    and decoded in one varint pass apiece. A block's first doc is stored as
+    ``doc_base``, so its delta is ``doc_base[j]`` minus the last doc of the
+    block before it in the gathered order (negative across a span or term
+    boundary) and one cumsum yields every doc_id."""
+    nblk = j1 - j0
+    n_b = int(nblk.sum())
+    if n_b == 0:  # e.g. a doc-range slice keeps out-of-range terms blockless
+        e = np.empty(0, np.int64)
+        return e, e, np.zeros(j0.size, np.int64)
+    (d_offs, d_data), (t_offs, t_data) = blocks["docs"], blocks["tfs"]
+    if j0.size == 1:
+        b0, b1 = int(j0[0]), int(j1[0])
+        sel = slice(b0, b1)
+        gap_bytes = d_data[d_offs[b0]:d_offs[b1]]
+        tf_bytes = t_data[t_offs[b0]:t_offs[b1]]
+    else:
+        sel = _gather_ranges(j0, j1)
+        gap_bytes = d_data[_gather_ranges(d_offs[j0], d_offs[j1])]
+        tf_bytes = t_data[_gather_ranges(t_offs[j0], t_offs[j1])]
+    ns = blocks["n"][sel].astype(np.int64)
+    ends = np.cumsum(ns)
+    total = int(ends[-1])
+    gaps = varint_decode(gap_bytes, total - n_b).view(np.int64)
+    full = np.empty(total, np.int64)
+    bases = blocks["doc_base"][sel]
+    if n_b == 1:
+        full[0] = bases[0]
+        full[1:] = gaps
+    else:
+        firsts = ends - ns
+        mask = np.ones(total, bool)
+        mask[firsts] = False
+        full[mask] = gaps
+        full[firsts] = bases
+        full[firsts[1:]] -= blocks["doc_last"][sel][:-1]
+    docs = np.cumsum(full, out=full)
+    tfs = varint_decode(tf_bytes, total).view(np.int64)
+    if j0.size == 1:
+        return docs, tfs, ends[-1:]
+    span_end = np.cumsum(nblk)
+    cs = np.concatenate([[0], ends])
+    return docs, tfs, cs[span_end] - cs[span_end - nblk]
+
+
+def _gather_ranges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The indices ``lo[i] .. hi[i] - 1`` of every range, concatenated."""
+    lens = hi - lo
+    starts = np.cumsum(lens) - lens
+    return np.arange(int(lens.sum()), dtype=np.int64) + np.repeat(lo - starts, lens)
+
+
+def _group_docs(
+    docs: np.ndarray, weights: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """(sorted unique doc_ids, per-doc sum of ``weights``). ``np.bincount``
+    adds in array order, so postings laid out in sorted-term order sum per
+    doc in sorted-term order — bit-equal to one ``acc += scores`` per term.
+    A dense doc-id span is counted directly; a sparse one goes through
+    ``np.unique``."""
+    if docs.size == 0:
+        return docs, None if weights is None else np.empty(0, np.float64)
+    lo = int(docs.min())
+    span = int(docs.max()) - lo + 1
+    if span <= 16 * docs.size:
+        rel = docs - lo
+        present = np.zeros(span, bool)
+        present[rel] = True
+        hit = np.flatnonzero(present)
+        sums = None if weights is None else np.bincount(rel, weights, span)[hit]
+        return hit + lo, sums
+    uniq, inv = np.unique(docs, return_inverse=True)
+    return uniq, None if weights is None else np.bincount(inv, weights, uniq.size)
+
+
+#: odd 64-bit multiplier of the deletion-variant hash, and its inverse mod
+#: 2^64 (removing a character divides the weights before it by P)
+_FZ_P = 0x100000001B3
+_FZ_Q = pow(_FZ_P, -1, 1 << 64)
+
+
+def _variant_hash(v: str) -> int:
+    """:func:`_deletion_hashes`' hash of one string, as a signed int64 —
+    scalar Python for a query term's few variants."""
+    h = 0
+    for ch in v:
+        h = (h * _FZ_P + ord(ch) + 1) & 0xFFFFFFFFFFFFFFFF
+    return h - (1 << 64) if h >> 63 else h
 
 
 def _deletion_variants(term: str, max_edits: int) -> set[str]:
@@ -1151,6 +1290,62 @@ def _deletion_variants(term: str, max_edits: int) -> set[str]:
         out |= nxt
         frontier = nxt
     return out
+
+
+def _deletion_hashes(
+    terms: pa.Array, max_edits: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Hashes of every string reachable from each of the string array
+    ``terms`` by deleting at most ``max_edits`` characters (code points),
+    distinct per term -> ``(hashes int64, term index int64)``. Vectorized
+    over all terms at once, reading the array's UTF-8 buffer directly.
+
+    The hash of ``s`` (length L) is the polynomial ``sum (s[k] + 1) *
+    P^(L-1-k)`` mod 2^64. With ``S[k]`` the weight sum of ``s[k:]``,
+    deleting position g gives ``(H - S[g]) * Q + S[g+1]`` (the characters
+    before g shift down one power, ``Q = 1/P``), deleting g < h gives
+    ``(H - S[g]) * Q^2 + (S[g+1] - S[h]) * Q + S[h+1]``. Equal strings hash
+    equal wherever they come from; a collision can only add a candidate,
+    which the Levenshtein check then drops."""
+    lens = pc.utf8_length(terms).to_numpy(zero_copy_only=False).astype(np.int64)
+    offs, data = _binary_views(terms)
+    text = data[offs[0]:offs[-1]].tobytes().decode()
+    cp = np.frombuffer(text.encode("utf-32-le"), np.uint32).astype(np.uint64)
+    owner = np.repeat(np.arange(lens.size, dtype=np.int64), lens)
+    starts = np.cumsum(lens) - lens
+    pos = np.arange(cp.size, dtype=np.int64) - starts[owner]
+    rev = lens[owner] - 1 - pos  # characters after this one
+    with np.errstate(over="ignore"):
+        powers = np.cumprod(np.full(int(lens.max(initial=0)) + 1, _FZ_P, np.uint64))
+        powers = np.concatenate([np.ones(1, np.uint64), powers[:-1]])
+        w = (cp + np.uint64(1)) * powers[rev]
+        c = np.cumsum(w)
+        incl = np.concatenate([np.zeros(1, np.uint64), c])
+        full = incl[starts + lens] - incl[starts]  # H per term
+        suffix = incl[(starts + lens)[owner]] - incl[:-1]  # S[g]
+        after = suffix - w  # S[g+1]
+        q = np.uint64(_FZ_Q)
+        # a run of equal characters deletes to one string: keep its first
+        first = (pos == 0) | np.concatenate([[True], cp[1:] != cp[:-1]])
+        g = np.flatnonzero(first)
+        hs = [full, (full[owner[g]] - suffix[g]) * q + after[g]]
+        ts = [np.arange(lens.size, dtype=np.int64), owner[g]]
+        if max_edits == 2:
+            qq = q * q
+            for d in range(1, int(lens.max(initial=0))):
+                g = np.flatnonzero(rev >= d)
+                h = g + d
+                hs.append((full[owner[g]] - suffix[g]) * qq
+                          + (after[g] - suffix[h]) * q + after[h])
+                ts.append(owner[g])
+    hv = np.concatenate(hs).view(np.int64)
+    tv = np.concatenate(ts)
+    if max_edits == 1:
+        return hv, tv
+    o = np.lexsort((tv, hv))  # two deletions repeat strings in many ways
+    hv, tv = hv[o], tv[o]
+    new = np.concatenate([[True], (hv[1:] != hv[:-1]) | (tv[1:] != tv[:-1])])
+    return hv[new], tv[new]
 
 
 def _levenshtein_leq(a: str, b: str, k: int) -> bool:
@@ -1410,6 +1605,15 @@ class _Cursor:
 #: dominates. Results are bound-pruned only, so identical at any span.
 _SPAN_BLOCKS = 32
 
+#: the planner's cut: ``Searcher.search`` scores a query by TAAT when its
+#: terms hold at most this many posting blocks in all, else by BMW. Swept
+#: warm and cold at k=10/100 (1 CPU): TAAT was faster at every size on the
+#: perfbench corpus (≤ 35 blocks per query) and on the 150k-doc sf-bench
+#: index (2-4x up to 1,024 blocks, 1.2-1.9x beyond), but its transient
+#: grows with the postings (traced peak 8 MB at ≤ 1,024 blocks, 40 MB at
+#: ~5k) while BMW's stays 5-11 MB, so Zipf-head queries keep BMW.
+TAAT_MAX_BLOCKS = 1024
+
 
 class Searcher:
     """Top-k BM25 search over an :class:`IndexReader`.
@@ -1436,13 +1640,20 @@ class Searcher:
         self.use_champions = bool(use_champions) and reader.has_champions
 
     # ------------------------------------------------------------------ api
-    def search(self, query: str, k: int = 10, algorithm: str = "bmw") -> list[tuple[int, float]]:
+    def search(
+        self, query: str, k: int = 10, algorithm: str | None = None
+    ) -> list[tuple[int, float]]:
         """-> [(doc_id, score)] ranked by (score desc, doc_id asc), ≤ k rows.
 
         ``field:value`` atoms are conjunctive exact filters; remaining terms
         are BM25-ranked. Exact-only queries return matches ordered by doc_id
         with score 0.0 (the reference's exact-verification path,
         elasticsearch.py:295-306, needs no relevance order).
+
+        ``algorithm`` is ``"taat"``, ``"bmw"`` or None: the planner, which
+        takes TAAT when the query terms hold at most
+        :data:`TAAT_MAX_BLOCKS` posting blocks (metadata only) and BMW
+        otherwise. Both return the same ranking with bit-equal scores.
         """
         terms, exact = self.r.tokenizer.tokenize_query(query)
         allowed = self._exact_candidates(exact)
@@ -1451,11 +1662,14 @@ class Searcher:
                 return []
             docs = np.sort(allowed)[:k]
             return [(int(d), 0.0) for d in docs]
+        if algorithm not in (None, "taat", "bmw"):
+            raise ValueError(f"unknown algorithm {algorithm!r}")
+        tids = self.r.term_ids(terms)
+        if algorithm is None:
+            algorithm = "taat" if self.r.n_blocks(tids) <= TAAT_MAX_BLOCKS else "bmw"
         if algorithm == "taat":
-            return self._taat(terms, k, allowed)
-        if algorithm == "bmw":
-            return self._bmw(terms, k, allowed)
-        raise ValueError(f"unknown algorithm {algorithm!r}")
+            return self._taat(tids, k, allowed)
+        return self._bmw(terms, k, allowed)
 
     def _exact_candidates(self, exact_terms: list[str]) -> np.ndarray | None:
         """Intersection of exact-field posting lists (None = no filter)."""
@@ -1491,7 +1705,7 @@ class Searcher:
             if after is not None:
                 docs = docs[docs > after[1]]
             return [(int(d), 0.0) for d in docs[:k]]
-        return self._taat(terms, k, allowed, after=after)
+        return self._taat(self.r.term_ids(terms), k, allowed, after=after)
 
     # --------------------------------------------------------- query string
     def search_query(
@@ -1525,7 +1739,8 @@ class Searcher:
         subtract); constraint-only queries return doc_id-ordered matches
         with score 0.0 (the exact-verification convention)."""
         r = self.r
-        score_set: set[str] = set()
+        score_set: set[str] = set()  # analyzed tokens of scored atoms
+        expanded: list[np.ndarray] = []  # expansions of scored atoms
         musts: list[np.ndarray] = []
         nots: list[np.ndarray] = []
         exact: list[str] = []
@@ -1548,22 +1763,17 @@ class Searcher:
                 if kind == "fuzzy":
                     text, _, edits = body.partition("\x00")
                     e = min(max(int(edits or max_edits), 1), 2)
-                    exp: set[str] = set()
-                    for t in r.tokenizer.tokenize(text):
-                        exp.update(r.expand_fuzzy(t, e))
+                    exp = np.concatenate([np.empty(0, np.int64)] + [
+                        r.expand_fuzzy(t, e) for t in r.tokenizer.tokenize(text)])
                 else:
-                    exp = set(r.expand_prefix(body, max_expansions))
+                    exp = r.expand_prefix(body, max_expansions)
                 if neg == "-":
                     # exclude any doc matching ANY expanded term
-                    nots.append(
-                        _postings_union(lambda t: r.postings(t)[0], sorted(exp))
-                    )
+                    nots.append(r.postings_union(exp))
                 else:
-                    score_set.update(exp)
+                    expanded.append(exp)
                     if neg == "+":  # required: doc must match SOME expansion
-                        musts.append(
-                            _postings_union(lambda t: r.postings(t)[0], sorted(exp))
-                        )
+                        musts.append(r.postings_union(exp))
             elif neg == "-":
                 for t in r.tokenizer.tokenize(body):
                     nots.append(r.postings(t)[0])
@@ -1582,14 +1792,15 @@ class Searcher:
         forbidden = (
             np.unique(np.concatenate(nots)) if nots else None
         )
-        terms = sorted(score_set)
-        if not terms:
+        if not score_set and not any(e.size for e in expanded):
             if allowed is None:
                 return []
             if forbidden is not None and forbidden.size:
                 allowed = np.setdiff1d(allowed, forbidden)
             return [(int(d), 0.0) for d in np.sort(allowed)[:k]]
-        return self._taat(terms, k, allowed, forbidden)
+        tids = r.sorted_terms(np.concatenate(
+            [r.term_ids(sorted(score_set))] + expanded))
+        return self._taat(tids, k, allowed, forbidden)
 
     # ------------------------------------------------------------- prefix
     def search_prefix(
@@ -1602,10 +1813,8 @@ class Searcher:
         a query that spells the expanded terms out. Scale: expansion is one
         memoized vectorized dictionary scan; scoring cost is the expanded
         lists' postings (``max_expansions`` caps it, ES ``top_terms_N``)."""
-        terms = self.r.expand_prefix(prefix.strip().lower(), max_expansions)
-        if not terms:
-            return []
-        return self._taat(terms, k, None)
+        tids = self.r.expand_prefix(prefix.strip().lower(), max_expansions)
+        return self._taat(tids, k, None)
 
     # -------------------------------------------------------------- regex
     def search_regex(
@@ -1619,10 +1828,7 @@ class Searcher:
         and SQL-expressible as ``regexp_matches(term, '^(...)$')`` over
         tokenized docs. ``max_expansions`` caps by (df desc, term asc),
         ES ``top_terms_N``."""
-        terms = self.r.expand_regex(pattern, max_expansions)
-        if not terms:
-            return []
-        return self._taat(terms, k, None)
+        return self._taat(self.r.expand_regex(pattern, max_expansions), k, None)
 
     def search_wildcard(
         self, pattern: str, k: int = 10, max_expansions: int | None = None
@@ -1645,14 +1851,12 @@ class Searcher:
         terms out, and SQL-expressible as ``levenshtein(term, q) <= e``."""
         base, exact = self.r.tokenizer.tokenize_query(query)
         allowed = self._exact_candidates(exact)
-        expanded: set[str] = set()
-        for t in base:
-            expanded.update(self.r.expand_fuzzy(t, max_edits))
-        if not expanded:
+        expanded = [self.r.expand_fuzzy(t, max_edits) for t in base]
+        if not any(e.size for e in expanded):
             if allowed is None:
                 return []
             return [(int(d), 0.0) for d in np.sort(allowed)[:k]]
-        return self._taat(sorted(expanded), k, allowed)
+        return self._taat(self.r.sorted_terms(np.concatenate(expanded)), k, allowed)
 
     # ----------------------------------------------------------- conjunctive
     def search_and(self, query: str, k: int = 10) -> list[tuple[int, float]]:
@@ -1872,10 +2076,9 @@ class Searcher:
         allowed = self._exact_candidates(exact)
         matches: np.ndarray | None = None
         if terms:
-            parts = [p for t in terms if (p := r.postings(t)[0]).size]
-            if not parts:
-                return np.empty(0, np.int64)
-            matches = np.unique(np.concatenate(parts))
+            matches = r.postings_union(r.term_ids(terms))
+            if matches.size == 0:
+                return matches
         if allowed is not None:
             matches = allowed if matches is None else sorted_intersect(matches, allowed)
         if matches is None:
@@ -1900,64 +2103,63 @@ class Searcher:
         if matches.size == 0:
             return []
         prefix = facet_field + ":"
-        out: list[tuple[str, int]] = []
-        for ft in r.terms_with_prefix(prefix):
-            docs, _ = r.postings(ft)
-            pos = np.searchsorted(matches, docs)
-            ok = pos < matches.size
-            n = int((matches[pos[ok]] == docs[ok]).sum())
-            if n:
-                out.append((ft[len(prefix):], n))
-        out.sort(key=lambda v: v[0])
-        return out
+        ftids = r._scan_ids(pc.starts_with, prefix)  # term order = value order
+        docs, _, counts = r.postings_many(ftids)
+        _, ok = sorted_lookup(docs, matches)
+        hits = np.concatenate([[0], np.cumsum(ok)])
+        ends = np.cumsum(counts)
+        n = hits[ends] - hits[ends - counts]
+        nz = np.flatnonzero(n)
+        return [(ft[len(prefix):], int(c))
+                for ft, c in zip(r.term_text(ftids[nz]), n[nz])]
 
     # ----------------------------------------------------------------- taat
     def _score_map(
-        self, terms: list[str], allowed: np.ndarray | None,
+        self, tids: np.ndarray, allowed: np.ndarray | None,
         forbidden: np.ndarray | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """The TAAT accumulation WITHOUT the top-k cut: ``(doc_ids, scores)``
-        over every matching doc, doc_id-sorted. Shared by :meth:`_taat` and
-        the multi-field ``best_fields`` merge (which needs each field's full
-        match map to take the per-doc max)."""
+        over every doc matching any of the terms ``tids`` (ascending term
+        order, unique), doc_id-sorted. ``allowed`` / ``forbidden`` are
+        sorted doc_id sets. Shared by :meth:`_taat` and the multi-field
+        ``best_fields`` merge (which needs each field's full match map to
+        take the per-doc max).
+
+        One batched decode of every term's postings (in term order), the
+        per-posting idf repeated from the reader's per-term idf, one
+        ``bm25_term_scores`` call and one ordered per-doc sum
+        (:func:`_group_docs`) — bit-equal to adding the terms' score
+        vectors one after another in sorted term order."""
         r = self.r
-        empty = (np.empty(0, np.int64), np.empty(0, np.float64))
-        doc_parts, score_parts = [], []
-        for t in terms:  # already sorted unique
-            docs, tfs = r.postings(t)
-            if docs.size == 0:
-                continue
-            idf = r.idf(t)
-            scores = bm25_term_scores(tfs, r.doclens(docs), idf, r.k1, r.b, r.avgdl)
-            doc_parts.append(docs)
-            score_parts.append(scores)
-        if not doc_parts:
-            return empty
-        uniq = np.unique(np.concatenate(doc_parts))
-        acc = np.zeros(uniq.size, np.float64)
-        for docs, scores in zip(doc_parts, score_parts):
-            acc[np.searchsorted(uniq, docs)] += scores
+        docs, tfs, counts = r.postings_many(tids)
+        if docs.size == 0:
+            return docs, np.empty(0, np.float64)
+        idf = r._idf[tids]
+        scores = bm25_term_scores(tfs, r.doclens(docs), np.repeat(idf, counts),
+                                  r.k1, r.b, r.avgdl)
+        uniq, acc = (docs, scores) if tids.size == 1 else _group_docs(docs, scores)
         if allowed is not None:
-            m = np.isin(uniq, allowed)
-            uniq, acc = uniq[m], acc[m]
+            keep = sorted_lookup(uniq, allowed)[1]
+            uniq, acc = uniq[keep], acc[keep]
         if forbidden is not None and forbidden.size and uniq.size:
-            m = ~np.isin(uniq, forbidden)
-            uniq, acc = uniq[m], acc[m]
+            keep = ~sorted_lookup(uniq, forbidden)[1]
+            uniq, acc = uniq[keep], acc[keep]
         return uniq, acc
 
     def _taat(
-        self, terms: list[str], k: int, allowed: np.ndarray | None,
+        self, tids: np.ndarray, k: int, allowed: np.ndarray | None,
         forbidden: np.ndarray | None = None,
         after: tuple[float, int] | None = None,
     ) -> list[tuple[int, float]]:
-        """Term-at-a-time, fully vectorized.
+        """Term-at-a-time, fully vectorized, over the terms ``tids``
+        (ascending term order, e.g. :meth:`IndexReader.term_ids` of sorted
+        terms or an expansion).
 
-        One vectorized add per term, applied in sorted term order (indices are
-        unique within a term, so ``acc[pos] += scores`` is well-defined) ⇒
-        per-doc addition order equals the sorted term order ⇒ bit-equal to
-        BMW and to the pure-Python oracle.
+        Per-doc addition order equals the sorted term order (see
+        :meth:`_score_map`) ⇒ bit-equal to BMW and to the pure-Python
+        oracle.
         """
-        uniq, acc = self._score_map(terms, allowed, forbidden)
+        uniq, acc = self._score_map(tids, allowed, forbidden)
         if after is not None and uniq.size:
             a_s, a_d = float(after[0]), int(after[1])
             # strictly after the cursor in (score desc, doc asc) order
@@ -1966,6 +2168,10 @@ class Searcher:
         if uniq.size == 0:
             return []
         kk = min(k, uniq.size)
+        if uniq.size > 4 * kk:
+            # only docs scoring at least the k-th best can rank (ties kept)
+            m = acc >= np.partition(acc, uniq.size - kk)[uniq.size - kk]
+            uniq, acc = uniq[m], acc[m]
         # rank by (score desc, doc_id asc): lexsort with doc desc then score asc, reversed
         order = np.lexsort((uniq, -acc))[:kk]
         return [(int(uniq[i]), float(acc[i])) for i in order]
@@ -2204,7 +2410,7 @@ def best_fields_search(
         allowed = s._exact_candidates(exact)
         if not terms:
             continue
-        uniq, acc = s._score_map(terms, allowed)
+        uniq, acc = s._score_map(s.r.term_ids(terms), allowed)
         if uniq.size:
             maps.append((uniq, acc))
     if not maps:
@@ -2264,7 +2470,7 @@ class QueryScorer:
     """
 
     def __init__(self, index_dir: str | None = None, k: int = 10,
-                 algorithm: str = "bmw", index_ref=None, result_cache: int = 0,
+                 algorithm: str | None = None, index_ref=None, result_cache: int = 0,
                  mode: str = "bm25", slop: int = 0, ordered: bool = True):
         if index_ref is not None:
             import ray
@@ -2275,8 +2481,9 @@ class QueryScorer:
         self.searcher = Searcher(reader)
         self.k = k
         # every ranked run_query mode is batchable; per-row override via a
-        # "mode" column. bm25 uses ``algorithm``; near uses ``slop`` and
-        # ``ordered`` (ordered vs window slop).
+        # "mode" column. bm25 uses ``algorithm`` (None: the planner of
+        # Searcher.search); near uses ``slop`` and ``ordered`` (ordered vs
+        # window slop).
         self.mode = mode
         self.params = {"bm25": {"algorithm": algorithm},
                        "near": {"slop": int(slop), "ordered": bool(ordered)}}

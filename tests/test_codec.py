@@ -65,6 +65,45 @@ def test_varint_encode_all_edges_and_empty():
     assert data.size == 0 and nb.size == 0
 
 
+def _unleb128(buf: bytes) -> list[int]:
+    """Scalar LEB128 decoder (test oracle)."""
+    out, v, shift = [], 0, 0
+    for byte in buf:
+        v |= (byte & 0x7F) << shift
+        shift += 7
+        if not byte & 0x80:
+            out.append(v)
+            v, shift = 0, 0
+    return out
+
+
+@given(st.lists(st.one_of(st.sampled_from(_VARINT_EDGES),
+                          st.integers(min_value=0, max_value=300),
+                          st.integers(min_value=0, max_value=2**64 - 1)),
+                max_size=200))
+@settings(max_examples=120, deadline=None)
+def test_varint_decode_matches_scalar_leb128(vals):
+    buf = b"".join(_leb128(v) for v in vals)
+    want = _unleb128(buf)
+    assert want == vals
+    for arg in (buf, np.frombuffer(buf, np.uint8)):
+        got = varint_decode(arg, len(vals)) if vals else varint_decode(arg)
+        assert got.dtype == np.uint64 and got.tolist() == want
+
+
+def test_varint_decode_edges_empty_and_count_mismatch():
+    buf = b"".join(_leb128(v) for v in _VARINT_EDGES)
+    assert varint_decode(buf, len(_VARINT_EDGES)).tolist() == _VARINT_EDGES
+    assert varint_decode(b"").size == 0
+    assert varint_decode(b"", 0).size == 0
+    with pytest.raises(ValueError, match="expected 1"):
+        varint_decode(b"", 1)
+    with pytest.raises(ValueError, match="expected 7"):
+        varint_decode(buf, 7)
+    with pytest.raises(ValueError, match="truncated"):
+        varint_decode(buf + b"\x80")
+
+
 @given(
     st.lists(st.integers(min_value=0, max_value=2**40), min_size=1, max_size=300, unique=True)
 )

@@ -4,10 +4,12 @@ every query mode must be bit-identical to the local Searcher at pool sizes
 disjoint doc ranges (partitioned posting bytes, not replicas)."""
 
 import shutil
+from unittest import mock
 
 import pyarrow.parquet as pq
 import pytest
 import ray
+from hypothesis import given, settings, strategies as st
 
 from nmr_fair_dos_ray.pipelines.index_build import IndexConfig, build_index
 from nmr_fair_dos_ray.search.distributed import DocShardedSearcher
@@ -228,3 +230,132 @@ def test_doc_sharded_best_fields_identical_to_local(sf_unit):
                     best_fields_search(locals_, q, k=20, tie_breaker=tb), (q, tb)
     finally:
         pool.shutdown()
+
+
+def test_blockless_terms_in_slices_score_like_the_full_reader(doc_sharded):
+    """A doc-range slice keeps every term, most of an expansion's terms with
+    no block in range: the batched decode reads them as empty, and each
+    slice's match map is the full reader's restricted to its range, bit
+    for bit, at P=2 and P=4 — so the pool equals local serving."""
+    import numpy as np
+
+    pools, _ = doc_sharded
+    full = Searcher(IndexReader(IDX))
+    fr = full.r
+    exps = {"prefix re": fr.expand_prefix("re"),
+            "regex": fr.expand_regex("[a-z].*"),
+            "fuzzy": fr.sorted_terms(np.concatenate(
+                [fr.expand_fuzzy("retrn", 2), fr.expand_fuzzy("user", 1)]))}
+    assert exps["prefix re"].size > 256
+    for p in (2, 4):
+        pool = pools[p]
+        blockless = 0
+        for lo, hi in pool.ranges:
+            sl = Searcher(IndexReader.from_state(
+                IndexReader.build_state(IDX, doc_range=(lo, hi))))
+            for name, tids in exps.items():
+                nb = sl.r._boff[tids + 1] - sl.r._boff[tids]
+                blockless += int((nb == 0).sum())
+                _, _, counts = sl.r.postings_many(tids)
+                assert not counts[nb == 0].any(), (p, lo, name)
+                d, sc = sl._score_map(tids, None)
+                fd, fsc = full._score_map(tids, None)
+                keep = (fd >= lo) & (fd < hi)
+                assert np.array_equal(d, fd[keep]), (p, lo, name)
+                assert np.array_equal(sc, fsc[keep]), (p, lo, name)
+        assert blockless, p
+        for pat in ("re", "s", "conf"):
+            assert pool.search_prefix(pat, k=10) == full.search_prefix(pat, k=10)
+        assert pool.search_regex("[a-z].*", k=10) == \
+            full.search_regex("[a-z].*", k=10)
+        for q in ("+re* merge", "merge -re*", "retrn~2 user~"):
+            assert pool.search_query(q, k=10) == full.search_query(q, k=10), (p, q)
+        for algo in ("taat", "bmw", None):
+            for q in ("def return self config", "user name merge"):
+                assert pool.search(q, k=10, algorithm=algo) == \
+                    full.search(q, k=10, algorithm=algo), (p, q, algo)
+
+
+@pytest.fixture(scope="module")
+def lifecycle_searchers(doc_sharded, tmp_path_factory):
+    """Fresh, tombstoned and compacted copies of the small-block index."""
+    from nmr_fair_dos_ray.pipelines.lifecycle import compact_index, delete_docs
+
+    fresh = Searcher(IndexReader(IDX))
+    dead = [d for d, _ in fresh.search("def return self config user", k=25)]
+    out = {"fresh": fresh}
+    for name in ("tombstoned", "compacted"):
+        d = str(tmp_path_factory.mktemp(name) / "idx")
+        shutil.copytree(IDX, d)
+        delete_docs(d, dead)
+        if name == "compacted":
+            compact_index(d)
+        out[name] = Searcher(IndexReader(d))
+    return out
+
+
+def test_planner_picks_by_posting_blocks(lifecycle_searchers):
+    """Without ``algorithm`` the planner runs TAAT up to TAAT_MAX_BLOCKS
+    posting blocks (metadata only) and BMW above it."""
+    from nmr_fair_dos_ray.search import engine
+
+    s = lifecycle_searchers["fresh"]
+    r = s.r
+    vocab = [t for t in r.terms if ":" not in t]
+    head = sorted(vocab, key=lambda t: -r.terms[t]["df"])[:8]
+    big, small = " ".join(head), head[0]
+    nb = {q: r.n_blocks(r.term_ids(r.tokenizer.tokenize_query(q)[0]))
+          for q in (big, small)}
+    assert nb[small] < nb[big]
+    calls = []
+
+    def spy(name, fn):
+        def run(self, *a, **kw):
+            calls.append(name)
+            return fn(self, *a, **kw)
+        return run
+
+    with mock.patch.object(Searcher, "_bmw", spy("bmw", Searcher._bmw)), \
+            mock.patch.object(Searcher, "_taat", spy("taat", Searcher._taat)):
+        for cut, want in ((nb[small], ["bmw", "taat"]),
+                          (nb[big], ["taat", "taat"]),
+                          (nb[small] - 1, ["bmw", "bmw"])):
+            calls.clear()
+            with mock.patch.object(engine, "TAAT_MAX_BLOCKS", cut):
+                s.search(big, k=10)
+                s.search(small, k=10)
+            assert calls == want, cut
+
+
+@pytest.fixture(scope="module")
+def query_vocab(lifecycle_searchers):
+    r = lifecycle_searchers["fresh"].r
+    vocab = sorted((t for t in r.terms if ":" not in t),
+                   key=lambda t: (-r.terms[t]["df"], t))
+    # the Zipf head (many blocks: BMW) and a spread of rarer terms
+    return vocab[:40] + vocab[40::max(1, len(vocab) // 200)], \
+        r.terms_with_prefix("lang:")
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_planner_default_equals_explicit_algorithms(lifecycle_searchers,
+                                                    query_vocab, data):
+    """The planner's default is rank-identical with bit-equal scores to
+    both explicit algorithms, on fresh, tombstoned and compacted indexes."""
+    from nmr_fair_dos_ray.search import engine
+
+    vocab, langs = query_vocab
+    terms = data.draw(st.lists(st.sampled_from(vocab), min_size=1, max_size=8))
+    if data.draw(st.booleans()):
+        terms.append(data.draw(st.sampled_from(langs)))
+    k = data.draw(st.integers(min_value=1, max_value=30))
+    # the fixture's queries hold far fewer blocks than the default cut, so
+    # small cuts make the planner take BMW too
+    cut = data.draw(st.sampled_from([0, 20, 60, engine.TAAT_MAX_BLOCKS]))
+    q = " ".join(terms)
+    for name, s in lifecycle_searchers.items():
+        with mock.patch.object(engine, "TAAT_MAX_BLOCKS", cut):
+            got = s.search(q, k=k)
+        assert got == s.search(q, k=k, algorithm="taat"), (name, q, k, cut)
+        assert got == s.search(q, k=k, algorithm="bmw"), (name, q, k, cut)

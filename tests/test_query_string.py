@@ -78,15 +78,15 @@ def test_phrase_atom_required_and_negated(s):
 
 
 def test_prefix_and_fuzzy_atoms(s):
-    exp = set(s.r.expand_prefix("conf"))
+    exp = set(s.r.term_text(s.r.expand_prefix("conf")))
     exp.add("merge")
-    want = s._taat(sorted(exp), 10, None)
+    want = s._taat(s.r.term_ids(sorted(exp)), 10, None)
     assert s.search_query("conf* merge", k=10) == want
-    fz = set(s.r.expand_fuzzy("retrn", 1))
+    fz = set(s.r.term_text(s.r.expand_fuzzy("retrn", 1)))
     assert fz
-    assert s.search_query("retrn~", k=10) == s._taat(sorted(fz), 10, None)
-    fz2 = set(s.r.expand_fuzzy("retrn", 2))
-    assert s.search_query("retrn~2", k=10) == s._taat(sorted(fz2), 10, None)
+    assert s.search_query("retrn~", k=10) == s._taat(s.r.term_ids(sorted(fz)), 10, None)
+    fz2 = set(s.r.term_text(s.r.expand_fuzzy("retrn", 2)))
+    assert s.search_query("retrn~2", k=10) == s._taat(s.r.term_ids(sorted(fz2)), 10, None)
 
 
 def test_sloppy_phrase_atom(s):
@@ -117,11 +117,11 @@ def test_signed_prefix_and_fuzzy_atoms(s):
     """`+expr*` / `+term~` require a doc to match SOME expanded term;
     `-expr*` / `-term~` exclude the expansion's whole postings union (not
     just the literal token) — the ES query_string modifier semantics."""
-    exp = sorted(set(s.r.expand_prefix("conf")))
+    exp = sorted(set(s.r.term_text(s.r.expand_prefix("conf"))))
     need = set(
         np.unique(np.concatenate([s.r.postings(t)[0] for t in exp])).tolist()
     )
-    full = s._taat(sorted(set(exp) | {"merge"}), 10_000, None)
+    full = s._taat(s.r.term_ids(sorted(set(exp) | {"merge"})), 10_000, None)
     want = [(d, sc) for d, sc in full if d in need][:10]
     assert want
     assert s.search_query("+conf* merge", k=10) == want
@@ -131,11 +131,11 @@ def test_signed_prefix_and_fuzzy_atoms(s):
     # negation must exclude expansion matches, not only the literal "conf"
     assert any(d in need for d, _ in base), "fixture must exercise exclusion"
 
-    fz = sorted(set(s.r.expand_fuzzy("retrn", 1)))
+    fz = sorted(set(s.r.term_text(s.r.expand_fuzzy("retrn", 1))))
     fneed = set(
         np.unique(np.concatenate([s.r.postings(t)[0] for t in fz])).tolist()
     )
-    full3 = s._taat(sorted(set(fz) | {"merge"}), 10_000, None)
+    full3 = s._taat(s.r.term_ids(sorted(set(fz) | {"merge"})), 10_000, None)
     want3 = [(d, sc) for d, sc in full3 if d in fneed][:10]
     assert s.search_query("+retrn~ merge", k=10) == want3
     want4 = [(d, sc) for d, sc in base if d not in fneed][:10]
@@ -185,12 +185,12 @@ def test_sharded_phrase_and_query_string_match_local(s):
 def test_combined_grammar(s):
     q = 'def +return -merge "self return" conf*'
     got = s.search_query(q, k=10)
-    score_set = {"def", "return", "self"} | set(s.r.expand_prefix("conf"))
+    score_set = {"def", "return", "self"} | set(s.r.term_text(s.r.expand_prefix("conf")))
     need = set(s.r.postings("return")[0].tolist()) & {
         d for d, _ in s.search_phrase("self return", k=10_000)
     }
     excl = set(s.r.postings("merge")[0].tolist())
-    full = s._taat(sorted(score_set), 10_000, None)
+    full = s._taat(s.r.term_ids(sorted(score_set)), 10_000, None)
     want = [(d, sc) for d, sc in full if d in need and d not in excl][:10]
     assert want, "combined query must keep some hits"
     assert got == want
@@ -233,3 +233,29 @@ def test_all_search_surfaces_total_over_random_text(s):
             lambda q: s.facet_counts(q, "lang"),
         ):
             assert isinstance(fn(q), list), q
+
+
+def test_signed_large_prefix_atoms(s):
+    """`+pref*` / `-pref*` over an expansion too large for the postings LRU
+    (one batched decode): the required set is the union of every expanded
+    term's postings, the excluded set removes all of them, and scores stay
+    those of the spelled-out disjunction."""
+    r = s.r
+    tids = r.expand_prefix("re")
+    assert tids.size > r.LRU_TERMS
+    exp = r.term_text(tids)
+    need = set().union(*(r.postings(t)[0].tolist() for t in exp))
+    full = s._taat(r.term_ids(sorted(set(exp) | {"merge"})), 10_000, None)
+    want = [(d, sc) for d, sc in full if d in need][:10]
+    assert want
+    assert s.search_query("+re* merge", k=10) == want
+    base = _full(s, "merge")
+    want2 = [(d, sc) for d, sc in base if d not in need][:10]
+    assert s.search_query("merge -re*", k=10) == want2
+    assert any(d in need for d, _ in base), "fixture must exercise exclusion"
+    # a capped required expansion requires only the kept terms
+    capped = r.term_text(r.expand_prefix("re", max_expansions=5))
+    need5 = set().union(*(r.postings(t)[0].tolist() for t in capped))
+    full5 = s._taat(r.term_ids(sorted(set(capped) | {"merge"})), 10_000, None)
+    assert s.search_query("+re* merge", k=10, max_expansions=5) == \
+        [(d, sc) for d, sc in full5 if d in need5][:10]
