@@ -33,6 +33,15 @@ many postings, not a fixed cost per expanded term. ``Searcher.search``
 plans: TAAT when the query terms hold at most :data:`TAAT_MAX_BLOCKS`
 posting blocks, block-max WAND otherwise.
 
+Positional queries (phrase, near and the query string's quoted atoms) have
+one match routine, ``Searcher._near_match``: an exact phrase is ordered
+proximity at slop 0. It builds per-term composite key arrays in one of two
+layouts — the reader's cached global ``doc * POS_KEY_STRIDE + pos`` keys
+when the candidate docs are not selective, keys over the candidates' ranks
+(:func:`near_intersect`) when they are — and hands them to
+:func:`match_keys`, which holds the one ordered chain and the one unordered
+window.
+
 Determinism: scores are float64; per-doc accumulation order is the
 lexicographic order of the unique query terms in BOTH algorithms, so TAAT,
 BMW and the pure-Python oracle produce bit-identical scores
@@ -44,6 +53,7 @@ from __future__ import annotations
 import heapq
 import json
 import os
+from collections import OrderedDict
 
 import numpy as np
 import pyarrow as pa
@@ -51,10 +61,48 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from nmr_fair_dos_ray.codec import BLOCK_TYPE, varint_decode
-
-_MISS = object()  # sentinel distinguishing "not cached" from "cached None"
 from nmr_fair_dos_ray.search.bm25 import bm25_idf, bm25_term_scores
 from nmr_fair_dos_ray.tokenizer import Tokenizer
+
+_MISS = object()  # sentinel distinguishing "not cached" from "cached None"
+
+
+class _LRU:
+    """Least-recently-used map bounded by ``budget``: an entry count, or a
+    byte count when ``size`` (value -> bytes) is given. ``get`` refreshes
+    recency; ``put`` evicts the oldest entries until the new one fits and
+    skips a value larger than the whole budget. ``None`` is a valid value
+    (``get(key, _MISS)`` tells it from a miss); ``in`` does not refresh."""
+
+    def __init__(self, budget: int, size=None):
+        self.budget = budget
+        self._size = size or (lambda v: 1)
+        self._d: OrderedDict = OrderedDict()
+        self.used = 0
+
+    def __contains__(self, key) -> bool:
+        return key in self._d
+
+    def __len__(self) -> int:
+        return len(self._d)
+
+    def get(self, key, default=None):
+        v = self._d.get(key, _MISS)
+        if v is _MISS:
+            return default
+        self._d.move_to_end(key)
+        return v
+
+    def put(self, key, value) -> None:
+        n = self._size(value)
+        if n > self.budget:
+            return
+        if key in self._d:
+            self.used -= self._size(self._d.pop(key))
+        while self._d and self.used + n > self.budget:
+            self.used -= self._size(self._d.popitem(last=False)[1])
+        self._d[key] = value
+        self.used += n
 
 
 class _TermsView:
@@ -340,32 +388,31 @@ class IndexReader:
                         "doc_last": self._b_last,
                         "docs": _binary_views(self._b_docs),
                         "tfs": _binary_views(self._b_tfs)}
-        self._postings_cache: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        self._postings_cache = _LRU(256)
         # decoded-positions LRU, BYTE-budgeted (entry-count LRUs thrash as
         # soon as the hot vocabulary exceeds the count — a 40-phrase working
         # set touches ~80 terms — and every "warm" query re-decodes)
-        self._positions_cache: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-        self._positions_cache_bytes = 0
+        self._positions_cache = _LRU(self.POSITIONS_CACHE_BUDGET,
+                                     lambda v: sum(a.nbytes for a in v))
         # derived positional skip index per term: byte END offset of every
         # varint value in the term's positional stream (one vectorized
         # high-bit scan) — lets a selective phrase decode ONLY candidate
         # postings instead of the whole hot-term stream
-        self._p_ends_cache: dict[str, np.ndarray] = {}
-        self._p_ends_cache_bytes = 0
-        # cached full composite key arrays (doc*POS_KEY_STRIDE + pos) — the
-        # reusable phrase-intersection operand for hot terms: a warm phrase
-        # query is then ONE sorted merge per adjacent term, no per-query
-        # key rebuild (the dominant warm cost before this cache)
-        self._p_keys_cache: dict[str, np.ndarray | None] = {}
-        self._p_keys_cache_bytes = 0
+        self._p_ends_cache = _LRU(self.P_ENDS_CACHE_BUDGET, lambda v: v.nbytes)
+        # cached (composite keys doc*POS_KEY_STRIDE + pos, max position) per
+        # term, or None — the reusable positional operand for hot terms: a
+        # warm phrase query is then ONE sorted merge per adjacent term, no
+        # per-query key rebuild (the dominant warm cost before this cache)
+        self._p_keys_cache = _LRU(self.P_KEYS_CACHE_BUDGET,
+                                  lambda v: 0 if v is None else v[0].nbytes)
         # positional touch counts: first touch seek-decodes (cold phrase
         # stays cheap), repeat touches full-decode into the LRU so hot
         # terms subset from cache instead of re-seeking every query
         self._p_touch: dict[str, int] = {}
-        self._scan_cache: dict[tuple[str, str], np.ndarray] = {}
+        self._scan_cache = _LRU(64)
         self._is_token: np.ndarray | None = None  # see _token_terms
         self.blocks_decoded = 0  # cumulative; see _decode_blocks
-        self._tid_cache: dict[str, int | None] = {}
+        self._tid_cache = _LRU(4096)
         self._tomb = st.get("tomb")  # sorted unique np.int64 doc_ids or None
         # doc-partitioned slice bounds [lo, hi): boundary-block postings
         # outside the range are masked by deleted_mask, like tombstones
@@ -415,9 +462,7 @@ class IndexReader:
             else:
                 tid = int(order[mid])
                 break
-        if len(self._tid_cache) >= 4096:
-            self._tid_cache.pop(next(iter(self._tid_cache)))
-        self._tid_cache[term] = tid
+        self._tid_cache.put(term, tid)
         return tid
 
     # ----------------------------------------------------------------- api
@@ -478,9 +523,7 @@ class IndexReader:
         if tid is None:
             return np.empty(0, np.int64), np.empty(0, np.int64)
         docs, tfs, _ = self._decode_live(np.array([tid]))
-        if len(self._postings_cache) >= 256:
-            self._postings_cache.pop(next(iter(self._postings_cache)))
-        self._postings_cache[term] = docs, tfs
+        self._postings_cache.put(term, (docs, tfs))
         return docs, tfs
 
     def postings_many(
@@ -585,9 +628,7 @@ class IndexReader:
             except pa.lib.ArrowInvalid as e:
                 raise ValueError(f"invalid regex pattern {pattern!r}: {e}") from e
             hit = self._order[mask[self._order]]
-            if len(self._scan_cache) >= 64:
-                self._scan_cache.pop(next(iter(self._scan_cache)))
-            self._scan_cache[key] = hit
+            self._scan_cache.put(key, hit)
         return hit
 
     def terms_with_prefix(self, prefix: str) -> list[str]:
@@ -715,9 +756,6 @@ class IndexReader:
             return None
         hit = self._positions_cache.get(term)
         if hit is not None:
-            # true LRU, not FIFO: refresh recency so a term hit on every
-            # query isn't evicted just because it was inserted early
-            self._positions_cache[term] = self._positions_cache.pop(term)
             return hit if candidates is None else _subset_positions(hit, candidates)
         tid = self._lookup(term)
         if tid is None:
@@ -758,39 +796,26 @@ class IndexReader:
             docs, tfs = docs[keep], tfs[keep]
             offsets = np.concatenate([[0], np.cumsum(tfs)])
         out = (docs, offsets, pos)
-        nb = docs.nbytes + offsets.nbytes + pos.nbytes
-        if nb <= self.POSITIONS_CACHE_BUDGET:
-            while (self._positions_cache and
-                   self._positions_cache_bytes + nb > self.POSITIONS_CACHE_BUDGET):
-                old = self._positions_cache.pop(next(iter(self._positions_cache)))
-                self._positions_cache_bytes -= sum(a.nbytes for a in old)
-            self._positions_cache[term] = out
-            self._positions_cache_bytes += nb
+        self._positions_cache.put(term, out)
         return out if candidates is None else _subset_positions(out, candidates)
-
-    def position_keys(self, term: str) -> np.ndarray | None:
-        """Cached composite key array ``doc * POS_KEY_STRIDE + position``
-        over the term's FULL (tombstone-masked) positional postings —
-        strictly increasing int64, the reusable operand of the hot-phrase
-        fast path (adjacency = one sorted merge of ``keysA + 1`` with
-        ``keysB``; matched docs = ``keys // POS_KEY_STRIDE``).
-
-        Returns ``None`` when positions are unavailable for the term or a
-        doc's positions exceed the stride (pathological token streams fall
-        back to the per-query candidate path)."""
-        km = self.position_keys_with_max(term)
-        return None if km is None else km[0]
 
     def position_keys_with_max(
         self, term: str
     ) -> tuple[np.ndarray, int] | None:
-        """(cached composite keys, max position in any doc) — the proximity
-        hot path needs the max to guard its slop window against cross-doc
-        bleed (window reaches ``key - slop - 1``; safe iff
-        ``maxpos + slop + 2 <= POS_KEY_STRIDE``)."""
-        if term in self._p_keys_cache:
-            km = self._p_keys_cache.pop(term)  # LRU: refresh recency
-            self._p_keys_cache[term] = km
+        """Cached ``(keys, maxpos)``: the composite keys ``doc *
+        POS_KEY_STRIDE + position`` over the term's FULL (tombstone-masked)
+        positional postings — strictly increasing int64, the reusable
+        operand of the positional match on non-selective candidates
+        (matched docs = ``keys // POS_KEY_STRIDE``) — and the largest
+        position in any doc, which guards a slop window against cross-doc
+        bleed (windows reach ``key ± (slop + 1)``; safe iff
+        ``maxpos + slop + 2 <= POS_KEY_STRIDE``).
+
+        Returns ``None`` when positions are unavailable for the term or a
+        doc's positions exceed the stride (pathological token streams fall
+        back to the per-query candidate path)."""
+        km = self._p_keys_cache.get(term, _MISS)
+        if km is not _MISS:
             return km
         p = self.positions(term)
         if p is None:
@@ -805,14 +830,7 @@ class IndexReader:
                     np.repeat(docs, np.diff(offs)) * self.POS_KEY_STRIDE + flat,
                     maxpos,
                 )
-        nb = 0 if km is None else km[0].nbytes
-        if nb <= self.P_KEYS_CACHE_BUDGET:
-            while (self._p_keys_cache and
-                   self._p_keys_cache_bytes + nb > self.P_KEYS_CACHE_BUDGET):
-                old = self._p_keys_cache.pop(next(iter(self._p_keys_cache)))
-                self._p_keys_cache_bytes -= 0 if old is None else old[0].nbytes
-            self._p_keys_cache[term] = km
-            self._p_keys_cache_bytes += nb
+        self._p_keys_cache.put(term, km)
         return km
 
     def _positions_selective(
@@ -830,20 +848,11 @@ class IndexReader:
         """
         seg = self._p_data[lo:hi]
         ends = self._p_ends_cache.get(term)
-        if ends is not None:
-            self._p_ends_cache[term] = self._p_ends_cache.pop(term)  # LRU
         if ends is None:
             # byte end-offset of every varint value (high bit clear = last
             # byte of a value) — the derived skip structure
             ends = np.flatnonzero((seg & 0x80) == 0).astype(np.int64)
-            if ends.nbytes <= self.P_ENDS_CACHE_BUDGET:
-                while (self._p_ends_cache and
-                       self._p_ends_cache_bytes + ends.nbytes
-                       > self.P_ENDS_CACHE_BUDGET):
-                    old = self._p_ends_cache.pop(next(iter(self._p_ends_cache)))
-                    self._p_ends_cache_bytes -= old.nbytes
-                self._p_ends_cache[term] = ends
-                self._p_ends_cache_bytes += ends.nbytes
+            self._p_ends_cache.put(term, ends)
         idx, ok = sorted_lookup(candidates, docs)
         sel = idx[ok]
         if sel.size == 0:
@@ -869,39 +878,6 @@ class IndexReader:
     def champions(self, tid: int) -> np.ndarray:
         """Impact-ordered champion doc_ids of term ``tid`` (may be empty)."""
         return self._c_docs[self._c_off[tid] : self._c_off[tid + 1]]
-
-    def tfs_at(self, term: str, docs: np.ndarray) -> np.ndarray:
-        """tf of ``term`` at each of the SORTED ``docs`` (0 where absent),
-        decoding only the blocks that contain a requested doc — random access
-        for small candidate sets (champion seeding) without a full-list
-        decode."""
-        out = np.zeros(docs.size, np.int64)
-        tid = self._lookup(term)
-        if tid is None or docs.size == 0:
-            return out
-        cached = self._postings_cache.get(term)
-        if cached is not None:
-            d, f = cached
-            pos = np.searchsorted(d, docs)
-            ok = pos < d.size
-            ok[ok] = d[pos[ok]] == docs[ok]
-            out[ok] = f[pos[ok]]
-            return out
-        j0, j1 = int(self._boff[tid]), int(self._boff[tid + 1])
-        lasts = self._b_last[j0:j1]
-        bi = np.searchsorted(lasts, docs)  # block whose doc_last >= doc
-        valid = bi < (j1 - j0)
-        for blk in np.unique(bi[valid]):
-            d, f = self._decode_range(j0 + int(blk), j0 + int(blk) + 1)
-            sel = np.flatnonzero(valid & (bi == blk))
-            pos = np.searchsorted(d, docs[sel])
-            ok = pos < d.size
-            ok[ok] = d[pos[ok]] == docs[sel][ok]
-            out[sel[ok]] = f[pos[ok]]
-        dm = self.deleted_mask(docs)
-        if dm is not None:
-            out[dm] = 0  # block path decodes raw; deleted docs read as absent
-        return out
 
 
 def wildcard_to_regex(pattern: str) -> str:
@@ -945,9 +921,8 @@ def sorted_intersect(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def intersect_doc_sets(postings: dict[str, np.ndarray]) -> np.ndarray:
-    """Rarest-list-first intersection of per-term doc sets — shared by the
-    local and sharded phrase candidate resolution. Empty result short-
-    circuits."""
+    """Rarest-list-first intersection of per-term doc sets — the candidate
+    docs of a positional match. Empty result short-circuits."""
     inter: np.ndarray | None = None
     for t in sorted(postings, key=lambda t: postings[t].size):
         inter = postings[t] if inter is None else sorted_intersect(
@@ -963,15 +938,16 @@ def topk_counts(
 ) -> list[tuple[int, int]]:
     """Rank (doc, count) matches by (count desc, doc asc) and return the
     top-k as int tuples — the shared epilogue of the phrase/proximity
-    query methods (local and sharded)."""
+    query methods."""
     order = np.lexsort((docs, -counts))[:k]
     return [(int(docs[i]), int(counts[i])) for i in order]
 
 
 def run_length(sorted_vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(distinct values, run counts) of an already-sorted array — no
-    re-sort (``np.unique`` sorts again)."""
-    first = np.concatenate([[True], sorted_vals[1:] != sorted_vals[:-1]])
+    re-sort (``np.unique`` sorts again); empty in, empty out."""
+    first = np.ones(sorted_vals.size, bool)
+    first[1:] = sorted_vals[1:] != sorted_vals[:-1]
     starts = np.flatnonzero(first)
     counts = np.diff(np.concatenate([starts, [sorted_vals.size]]))
     return sorted_vals[starts], counts
@@ -990,155 +966,84 @@ def _subset_positions(
     return docs[sel], seg, flat[_gather_ranges(offs[sel], offs[sel + 1])]
 
 
-def phrase_intersect(
-    terms: list[str],
-    plists: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Exact-phrase adjacency over decoded positional postings →
-    (sorted matching doc_ids, occurrence counts). Pure array math, shared
-    by the local searcher and the sharded router (which gathers each term's
-    positional postings from its owning shard actor first).
+def match_keys(
+    terms: list[str], keys: dict[str, np.ndarray], slop: int, ordered: bool,
+) -> np.ndarray:
+    """The positional match over per-term composite keys ``doc * K + pos``
+    (strictly increasing; ``K > maxpos + slop + 2``, so no window crosses
+    into another doc) → the matching keys, one per counted occurrence, in
+    ascending order (``// K`` gives the matched docs).
 
-    Composite keys ``doc * K + pos`` (K > any position + 2, so ``key+1`` is
-    "next position, same doc" and the arithmetic never overflows int64 even
-    at 10^12 docs); one sorted-set intersection per phrase term, no per-doc
-    loop."""
-    empty = (np.empty(0, np.int64), np.empty(0, np.int64))
-    inter: np.ndarray | None = None
-    for t in terms:
-        inter = (
-            plists[t][0] if inter is None
-            else sorted_intersect(inter, plists[t][0])
-        )
-        if inter.size == 0:
-            return empty
-    K = 2 + max(
-        int(plists[t][2].max()) if plists[t][2].size else 0 for t in set(terms)
-    )
-    # RANK-space keys: docs are replaced by their rank in `inter`
-    # (0..|inter|), so keys fit int32 whenever |inter|·K < 2^31 — ~2× faster
-    # searchsorted/repeat on the hot pairwise intersection. Doc ids (up to
-    # 10^12) never enter the key arithmetic; int64 is the guarded fallback.
-    dt = np.int32 if inter.size * K < 2**31 - 2 else np.int64
-    _keys = _rank_key_builder(plists, inter, K, dt)
+    ``ordered``: the query terms occur IN ORDER with each consecutive gap
+    ≤ ``slop + 1`` tokens. A reachable-set chain (the any-choice semantics
+    SQL EXISTS joins express — greedy picks are NOT sound, because the gap
+    window is bounded on both sides): R_i = positions of term i with some
+    R_{i-1} position in ``[p - slop - 1, p - 1]``; counts distinct chain
+    END positions. At ``slop=0`` (the exact phrase) the window is one key,
+    so a step is one sorted merge of ``R + 1`` with the term's keys.
 
-    # composite keys are strictly increasing (docs sorted, positions
-    # ascending within a doc), so every step stays a sorted-unique merge
-    ends = _keys(terms[0])
-    for t in terms[1:]:
-        ends = sorted_intersect(ends + dt(1), _keys(t))
-        if ends.size == 0:
-            return empty
-    # run-length over the (sorted) matched ranks — no re-sort
-    ranks_m, counts = run_length(ends // dt(K))
-    return inter[ranks_m].astype(np.int64, copy=False), counts
-
-
-def _rank_key_builder(plists, inter: np.ndarray, K: int, dt):
-    """term → composite key array ``rank(doc in inter) * K + position``
-    (strictly increasing), shared by the phrase and proximity kernels."""
-    ranks = np.arange(inter.size, dtype=dt)
-
-    def _keys(t: str) -> np.ndarray:
-        docs, offs, flat = plists[t]
-        idx = np.searchsorted(docs, inter)
-        lo, hi = offs[idx], offs[idx + 1]
-        return (np.repeat(ranks, hi - lo) * dt(K)
-                + flat[_gather_ranges(lo, hi)].astype(dt, copy=False))
-
-    return _keys
+    Unordered (the analog of Lucene's sloppy-phrase order tolerance): the
+    anchor is the LAST distinct query term; an anchor position ``p``
+    matches when EVERY other distinct term occurs within
+    ``[p - slop - 1, p + slop + 1]``; counts distinct anchor positions.
+    For two terms this is exactly the both-order EXISTS join
+    ``abs(pa - pb) <= slop + 1``. Duplicate query terms collapse (a
+    documented simplification vs Lucene's per-occurrence edit-distance
+    slop); distinct terms never share a position, so the window needs no
+    self-exclusion."""
+    if ordered:
+        reach = keys[terms[0]]
+        for t in terms[1:]:
+            kt = keys[t]
+            if slop == 0:
+                reach = sorted_intersect(reach + 1, kt)
+            else:  # strict upper edge: a predecessor lies before p
+                reach = kt[np.searchsorted(reach, kt)
+                           > np.searchsorted(reach, kt - (slop + 1))]
+            if reach.size == 0:
+                break
+        return reach
+    uniq = list(dict.fromkeys(terms))
+    anchor = keys[uniq[-1]]
+    hit = np.ones(anchor.size, bool)
+    for t in uniq[:-1]:
+        kt = keys[t]
+        hit &= (np.searchsorted(kt, anchor + (slop + 2))
+                > np.searchsorted(kt, anchor - (slop + 1)))
+    return anchor[hit]
 
 
 def near_intersect(
     terms: list[str],
     plists: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]],
     slop: int,
+    ordered: bool = True,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Ordered proximity ("near") matching over decoded positional
-    postings: a doc matches when the query terms occur IN ORDER with each
-    consecutive gap ≤ ``slop + 1`` tokens (``slop=0`` = exact adjacency —
-    bit-equal to :func:`phrase_intersect`). Returns ``(sorted doc_ids,
-    n_chains)`` where n_chains counts DISTINCT chain end positions.
+    """Proximity matching (:func:`match_keys` semantics; ``slop=0`` ordered
+    is the exact phrase) over decoded positional postings ``plists``
+    (``term -> (doc_ids, list_offsets, positions_flat)``, as
+    :meth:`IndexReader.positions` returns) → ``(sorted doc_ids, counts)``.
 
-    Reachable-set DP (the any-choice semantics SQL EXISTS joins express —
-    greedy picks are NOT sound here because the gap window is bounded on
-    both sides): R_i = positions of term i with some R_{i-1} position in
-    ``[p - slop - 1, p - 1]``; two vectorized searchsorteds per term over
-    composite rank-keys with stride ``K > maxpos + slop + 2`` so windows
-    cannot bleed across docs."""
-    empty = (np.empty(0, np.int64), np.empty(0, np.int64))
-    inter: np.ndarray | None = None
-    for t in terms:
-        inter = (
-            plists[t][0] if inter is None
-            else sorted_intersect(inter, plists[t][0])
-        )
-        if inter.size == 0:
-            return empty
+    Keys are RANK-space: each doc of the candidate intersection is replaced
+    by its rank in it, so keys ``rank * K + pos`` fit int32 whenever
+    ``|inter| · K < 2^31`` (about 2× faster searchsorted and repeat); doc
+    ids (up to 10^12) never enter the key arithmetic, int64 is the guarded
+    fallback."""
+    uniq = list(dict.fromkeys(terms))
+    inter = intersect_doc_sets({t: plists[t][0] for t in uniq})
     K = slop + 3 + max(
-        int(plists[t][2].max()) if plists[t][2].size else 0 for t in set(terms)
+        int(plists[t][2].max()) if plists[t][2].size else 0 for t in uniq
     )
     dt = np.int32 if inter.size * K < 2**31 - 2 else np.int64
-    _keys = _rank_key_builder(plists, inter, K, dt)
-    reach = _keys(terms[0])
-    for t in terms[1:]:
-        kt = _keys(t)
-        lo = np.searchsorted(reach, kt - dt(slop + 1))
-        hi = np.searchsorted(reach, kt)  # strict: predecessor < position
-        reach = kt[hi > lo]
-        if reach.size == 0:
-            return empty
-    ranks_m, counts = run_length(reach // dt(K))
-    return inter[ranks_m].astype(np.int64, copy=False), counts
-
-
-def near_intersect_unordered(
-    terms: list[str],
-    plists: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]],
-    slop: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """UNORDERED proximity matching (the ``ordered=False`` selectable
-    analog of Lucene's sloppy-phrase order tolerance): the anchor is the
-    LAST distinct query term; an anchor position ``p`` matches when EVERY
-    other distinct query term occurs within ``[p - slop - 1, p + slop + 1]``
-    — order-free, both directions. For a two-term query this is exactly
-    the both-order EXISTS join (``abs(pa - pb) <= slop + 1``), which is how
-    the SQL oracle spells it. Duplicate query terms collapse (a documented
-    simplification vs Lucene's per-occurrence edit-distance slop). Returns
-    ``(sorted doc_ids, n_anchors)`` with n_anchors = distinct qualifying
-    anchor positions.
-
-    Distinct terms never share a token position, so the window test needs
-    no self-exclusion. Same composite rank-key trick as
-    :func:`near_intersect`; ``K >= maxpos + slop + 3`` keeps both window
-    edges inside the doc."""
-    empty = (np.empty(0, np.int64), np.empty(0, np.int64))
-    uniq_ordered = list(dict.fromkeys(terms))
-    inter: np.ndarray | None = None
-    for t in uniq_ordered:
-        inter = (
-            plists[t][0] if inter is None
-            else sorted_intersect(inter, plists[t][0])
-        )
-        if inter.size == 0:
-            return empty
-    K = slop + 3 + max(
-        int(plists[t][2].max()) if plists[t][2].size else 0
-        for t in uniq_ordered
-    )
-    dt = np.int32 if inter.size * K < 2**31 - 2 else np.int64
-    _keys = _rank_key_builder(plists, inter, K, dt)
-    ka = _keys(uniq_ordered[-1])
-    mask = np.ones(ka.size, bool)
-    for t in uniq_ordered[:-1]:
-        kt = _keys(t)
-        lo = np.searchsorted(kt, ka - dt(slop + 1))
-        hi = np.searchsorted(kt, ka + dt(slop + 2))  # right-inclusive window
-        mask &= hi > lo
-    ka = ka[mask]
-    if ka.size == 0:
-        return empty
-    ranks_m, counts = run_length(ka // dt(K))
+    ranks = np.arange(inter.size, dtype=dt)
+    keys = {}
+    for t in uniq:
+        docs, offs, flat = plists[t]
+        idx = np.searchsorted(docs, inter)
+        lo, hi = offs[idx], offs[idx + 1]
+        keys[t] = (np.repeat(ranks, hi - lo) * dt(K)
+                   + flat[_gather_ranges(lo, hi)].astype(dt, copy=False))
+    ranks_m, counts = run_length(match_keys(terms, keys, slop, ordered) // dt(K))
     return inter[ranks_m].astype(np.int64, copy=False), counts
 
 
@@ -1147,8 +1052,7 @@ def parse_query_string(query: str) -> list[tuple[str, str, str]]:
     sign ∈ {'', '+', '-'} and kind ∈ {'phrase', 'field', 'fuzzy', 'prefix',
     'terms'} (fuzzy body is ``text\\x00edits``; a sloppy phrase
     ``"a b"~N`` encodes as ``text\\x00N`` — consumers ``partition('\\x00')``
-    either way). Shared by the local and the sharded query-string searchers
-    so both resolve identical atom lists."""
+    either way)."""
     import re
 
     from nmr_fair_dos_ray.tokenizer import EXACT_FIELD_PREFIXES
@@ -1747,10 +1651,7 @@ class Searcher:
         for neg, kind, body in parse_query_string(query):
             if kind == "phrase":
                 text, _, slop_s = body.partition("\x00")
-                docs, _ = (
-                    self._phrase_match(text) if not slop_s
-                    else self._near_match(text, int(slop_s))
-                )
+                docs, _ = self._near_match(text, int(slop_s or 0))
                 (nots if neg == "-" else musts).append(docs)
                 if neg != "-":  # phrase terms also contribute to the score
                     score_set.update(r.tokenizer.tokenize(text))
@@ -1900,76 +1801,23 @@ class Searcher:
         token stream; ranked by (occurrence count desc, doc_id asc).
         Returns ``[(doc_id, n_occurrences)]``.
 
-        Scale note: work is bounded by the phrase terms' posting lists (the
-        standard positional-intersection cost) and is fully vectorized — the
-        adjacency check runs across ALL candidate docs at once on composite
-        ``doc*K + position`` keys (K > any position, so ``key+1`` is
-        "next position, same doc"), one sorted-set intersection per phrase
-        term, no per-doc loop. Doc-partitioned serving runs the whole match
-        inside each range actor, like ranked search.
+        The exact phrase is ordered proximity at ``slop=0``
+        (:meth:`_near_match`): work is bounded by the phrase terms' posting
+        lists and fully vectorized — one sorted merge per phrase term over
+        composite ``doc*K + position`` keys, no per-doc loop. Doc-partitioned
+        serving runs the whole match inside each range actor, like ranked
+        search.
         """
-        docs_m, counts = self._phrase_match(phrase)
-        return topk_counts(docs_m, counts, k)
-
-    def _phrase_match(self, phrase: str) -> tuple[np.ndarray, np.ndarray]:
-        """All docs containing the exact phrase → (sorted doc_ids, counts)."""
-        r = self.r
-        if not r.has_positions:
-            raise ValueError(
-                "index was built without store_positions=True; phrase search "
-                "needs positional postings"
-            )
-        empty = (np.empty(0, np.int64), np.empty(0, np.int64))
-        terms = r.tokenizer.tokenize(phrase)
-        if not terms:
-            return empty
-        # candidate docs first: a phrase match contains EVERY term, so the
-        # intersection of the (masked) posting doc sets — rarest list first
-        # — bounds the positional work; positions() then seek-decodes only
-        # candidate postings instead of whole hot-term streams
-        uniq = sorted(set(terms))
-        postings: dict[str, np.ndarray] = {}
-        for t in uniq:
-            d = r.postings(t)[0]
-            if d.size == 0:
-                return empty  # absent term ⇒ no match
-            postings[t] = d
-        inter = intersect_doc_sets(postings)
-        if inter.size == 0:
-            return empty
-        if inter.size * 4 >= min(postings[t].size for t in uniq):
-            # HOT path (non-selective candidates, e.g. a Zipf-head bigram):
-            # per-term composite key arrays are cached, so the whole query
-            # is one sorted merge per adjacent term — no per-query key
-            # build or subset. Adjacency over the FULL lists is identical
-            # (a phrase match contains every term by definition).
-            keys: dict[str, np.ndarray] | None = {}
-            for t in uniq:
-                k = r.position_keys(t)
-                if k is None:
-                    keys = None  # stride overflow / field term → fallback
-                    break
-                keys[t] = k
-            if keys is not None:
-                ends = keys[terms[0]]
-                for t in terms[1:]:
-                    ends = sorted_intersect(ends + 1, keys[t])
-                    if ends.size == 0:
-                        return empty
-                return run_length(ends // r.POS_KEY_STRIDE)
-        plists = self._candidate_plists(uniq, inter, postings)
-        if plists is None:
-            return empty
-        return phrase_intersect(terms, plists)
+        return topk_counts(*self._near_match(phrase, 0), k)
 
     def _candidate_plists(
         self, uniq: list[str], inter: np.ndarray,
         postings: dict[str, np.ndarray],
     ) -> dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]] | None:
-        """Positional triples for the positional kernels — candidate-scoped
+        """Positional triples for :func:`near_intersect` — candidate-scoped
         decode only when it actually prunes (for a non-selective hot bigram
-        the cached full triple is free and the kernels subset by `inter`
-        themselves). None when any term has no token stream."""
+        the cached full triple is free and the kernel subsets by `inter`
+        itself). None when any term has no token stream."""
         plists = {}
         for t in uniq:
             cand = inter if inter.size * 4 < postings[t].size else None
@@ -1986,20 +1834,31 @@ class Searcher:
         """Proximity top-k (the ES ``match_phrase`` + ``slop`` analog, with
         documented simplified semantics). ``ordered=True`` (default): terms
         must appear IN ORDER with each consecutive gap ≤ ``slop + 1``
-        tokens; ``slop=0`` is bit-equal to :meth:`search_phrase`; count =
-        distinct chain end positions (:func:`near_intersect`).
-        ``ordered=False``: Lucene-style order tolerance — every other
-        distinct term within ``slop + 1`` tokens of an anchor (last-term)
-        occurrence, either side; count = distinct qualifying anchor
-        positions (:func:`near_intersect_unordered`). Both ranked by
-        (count desc, doc_id asc) and SQL-expressible as EXISTS-joined
-        position inequalities (both-order joins for unordered)."""
-        docs_m, counts = self._near_match(phrase, slop, ordered)
-        return topk_counts(docs_m, counts, k)
+        tokens; ``slop=0`` is :meth:`search_phrase`; count = distinct chain
+        end positions. ``ordered=False``: Lucene-style order tolerance —
+        every other distinct term within ``slop + 1`` tokens of an anchor
+        (last-term) occurrence, either side; count = distinct qualifying
+        anchor positions (:func:`match_keys`). Both ranked by (count desc,
+        doc_id asc) and SQL-expressible as EXISTS-joined position
+        inequalities (both-order joins for unordered)."""
+        return topk_counts(*self._near_match(phrase, slop, ordered), k)
 
     def _near_match(
         self, phrase: str, slop: int, ordered: bool = True
     ) -> tuple[np.ndarray, np.ndarray]:
+        """All docs matching ``phrase`` within ``slop`` → (sorted doc_ids,
+        counts): the one positional match behind phrase, near and the
+        query-string phrase atoms.
+
+        A match contains EVERY term, so the intersection of the terms'
+        (masked) posting doc sets, rarest first, bounds the positional work.
+        Non-selective candidates (e.g. a Zipf-head bigram) match over each
+        term's cached global keys (:meth:`IndexReader.position_keys_with_max`)
+        — no per-query key build or subset; matching over the FULL lists is
+        identical, since a match contains every term. Selective candidates
+        decode only candidate positions (:meth:`_candidate_plists`) and
+        match over rank keys (:func:`near_intersect`). Both layouts run the
+        same :func:`match_keys`."""
         r = self.r
         if not r.has_positions:
             raise ValueError(
@@ -2015,55 +1874,26 @@ class Searcher:
         for t in uniq:
             d = r.postings(t)[0]
             if d.size == 0:
-                return empty
+                return empty  # absent term ⇒ no match
             postings[t] = d
         inter = intersect_doc_sets(postings)
         if inter.size == 0:
             return empty
         if inter.size * 4 >= min(postings[t].size for t in uniq):
-            # HOT path, same cached keys as phrase: the reachable-set DP
-            # runs directly on global doc*STRIDE+pos keys. Safe only when
-            # maxpos + slop + 2 <= STRIDE (the slop window reaches
-            # key - slop - 1 and must not cross into the previous doc).
-            keys: dict[str, np.ndarray] | None = {}
+            keys = {}
             for t in uniq:
                 km = r.position_keys_with_max(t)
+                # the window reaches key ± (slop + 1): it must stay in-doc
                 if km is None or km[1] + slop + 2 > r.POS_KEY_STRIDE:
-                    keys = None
-                    break
+                    break  # stride overflow / field term: candidate layout
                 keys[t] = km[0]
-            if keys is not None:
-                if ordered:
-                    reach = keys[terms[0]]
-                    for t in terms[1:]:
-                        kt = keys[t]
-                        lo = np.searchsorted(reach, kt - (slop + 1))
-                        hi = np.searchsorted(reach, kt)
-                        reach = kt[hi > lo]
-                        if reach.size == 0:
-                            return empty
-                    return run_length(reach // r.POS_KEY_STRIDE)
-                # unordered on cached keys: same both-edge window as
-                # near_intersect_unordered (edges stay in-doc because
-                # maxpos + slop + 2 <= STRIDE was checked above)
-                uniq_ordered = list(dict.fromkeys(terms))
-                ka = keys[uniq_ordered[-1]]
-                mask = np.ones(ka.size, bool)
-                for t in uniq_ordered[:-1]:
-                    kt = keys[t]
-                    lo = np.searchsorted(kt, ka - (slop + 1))
-                    hi = np.searchsorted(kt, ka + (slop + 2))
-                    mask &= hi > lo
-                ka = ka[mask]
-                if ka.size == 0:
-                    return empty
-                return run_length(ka // r.POS_KEY_STRIDE)
+            else:
+                ends = match_keys(terms, keys, slop, ordered)
+                return run_length(ends // r.POS_KEY_STRIDE)
         plists = self._candidate_plists(uniq, inter, postings)
         if plists is None:
             return empty
-        if ordered:
-            return near_intersect(terms, plists, slop)
-        return near_intersect_unordered(terms, plists, slop)
+        return near_intersect(terms, plists, slop, ordered)
 
     # ---------------------------------------------------------------- facets
     def match_set(self, query: str) -> np.ndarray:
@@ -2491,7 +2321,7 @@ class QueryScorer:
         # enables its request cache by default; this is the engine analog —
         # OFF by default so benchmark headlines stay uncached/comparable)
         self.result_cache = int(result_cache)
-        self._results: dict[tuple[str, str, int], list] = {}
+        self._results = _LRU(self.result_cache)
 
     def _run(self, query: str, k: int, mode: str) -> list[tuple[int, float]]:
         if mode in ("count", "facet_counts"):  # no (doc, score) rows
@@ -2513,13 +2343,10 @@ class QueryScorer:
             mode = mode or self.mode
             if self.result_cache:
                 key = (query, mode, kk)
-                # pop + re-insert moves a hit to the recent end (true LRU)
-                hits = self._results.pop(key, None)
+                hits = self._results.get(key)
                 if hits is None:
                     hits = self._run(query, kk, mode)
-                    if len(self._results) >= self.result_cache:
-                        self._results.pop(next(iter(self._results)))
-                self._results[key] = hits
+                    self._results.put(key, hits)
             else:
                 hits = self._run(query, kk, mode)
             for rank, (doc, score) in enumerate(hits, 1):

@@ -103,24 +103,6 @@ def test_bit_identical_results(champ_indexes):
             assert s_salt.search(q, k=k, algorithm="bmw") == base, (q, k)
 
 
-def test_tfs_at_matches_full_decode(champ_indexes):
-    _, r_on, _, _ = champ_indexes
-    rng = np.random.default_rng(7)
-    for term in list(r_on.terms)[::53]:
-        docs, tfs = r_on.postings(term)
-        # mix of present docs, absent mid-range ids, and out-of-range ids
-        probe = np.unique(np.concatenate([
-            rng.choice(docs, size=min(5, docs.size), replace=False),
-            np.array([docs.max() + 3, -1 if docs.min() > 0 else docs.min() - 1]),
-            rng.integers(0, max(2, int(docs.max())), size=5),
-        ]))
-        r_on._postings_cache.clear()  # force the block-targeted path
-        got = r_on.tfs_at(term, probe)
-        lut = dict(zip(docs.tolist(), tfs.tolist()))
-        expect = np.array([lut.get(int(d), 0) for d in probe], np.int64)
-        assert np.array_equal(got, expect), term
-
-
 def test_df_min_cutoff(champ_indexes, sf_unit):
     """With the Zipf-tail cutoff, low-df terms store NO champions, high-df
     terms keep exactly top-m, and results stay bit-identical (skipping a

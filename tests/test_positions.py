@@ -336,9 +336,7 @@ def test_near_unordered_kernel_reversed_terms():
     """A doc with the terms in REVERSE order matches only unordered: stream
     'b . . a' — ordered a→b needs b after a; unordered anchors on b with a
     within the window on the right."""
-    from nmr_fair_dos_ray.search.engine import (
-        near_intersect, near_intersect_unordered,
-    )
+    from nmr_fair_dos_ray.search.engine import near_intersect
 
     plists = {
         "a": (np.array([0]), np.array([0, 1]), np.array([3])),
@@ -346,10 +344,10 @@ def test_near_unordered_kernel_reversed_terms():
     }
     docs, _ = near_intersect(["a", "b"], plists, slop=2)
     assert docs.size == 0
-    docs_u, counts_u = near_intersect_unordered(["a", "b"], plists, slop=2)
+    docs_u, counts_u = near_intersect(["a", "b"], plists, slop=2, ordered=False)
     assert docs_u.tolist() == [0] and counts_u.tolist() == [1]
     # outside the window (|3-0| = 3 > slop+1 = 2) neither matches
-    docs_u1, _ = near_intersect_unordered(["a", "b"], plists, slop=1)
+    docs_u1, _ = near_intersect(["a", "b"], plists, slop=1, ordered=False)
     assert docs_u1.size == 0
 
 
@@ -367,3 +365,74 @@ def test_sharded_near_unordered_matches_local(pos_index):
                     (phrase, slop)
     finally:
         pool.shutdown()
+
+
+def test_candidate_layout_matches_cached_keys(pos_index, monkeypatch):
+    """Phrase and near match over one of two key layouts: the reader's
+    cached global keys (non-selective candidates) or candidate rank keys.
+    With the cached keys unavailable every query takes the candidate
+    layout, and must return what the default path returns."""
+    r, r_salt, _ = pos_index
+    cases = [(p, slop, ordered) for p in PHRASES for slop in (0, 1, 3)
+             for ordered in (True, False)]
+    keyed = []
+    calls = IndexReader.position_keys_with_max
+
+    def spy(self, term):
+        keyed.append(term)
+        return calls(self, term)
+
+    def run(reader):
+        s = Searcher(reader)
+        return ([s.search_phrase(p, k=50) for p in PHRASES],
+                [s.search_near(p, k=50, slop=slop, ordered=o) for p, slop, o in cases])
+
+    for reader in (r, r_salt):
+        monkeypatch.setattr(IndexReader, "position_keys_with_max", spy)
+        want = run(reader)
+        monkeypatch.setattr(IndexReader, "position_keys_with_max",
+                            lambda self, term: None)
+        assert run(reader) == want
+    assert keyed  # the default path did take the cached-key layout
+    assert any(hits for hits in want[1])
+
+
+# --------------------------------------------------------------- reader caches
+def test_lru_budgets_recency_and_none_values():
+    from nmr_fair_dos_ray.search.engine import _LRU, _MISS
+
+    by_count = _LRU(2)
+    by_count.put("a", 1)
+    by_count.put("b", None)  # None is a value, not a miss
+    assert by_count.get("b", _MISS) is None and "b" in by_count
+    assert by_count.get("a") == 1  # refreshes "a": "b" is now the oldest
+    by_count.put("c", 3)
+    assert "a" in by_count and "b" not in by_count and len(by_count) == 2
+    assert by_count.get("b", _MISS) is _MISS
+
+    by_bytes = _LRU(100, lambda v: v.nbytes)
+    by_bytes.put("x", np.zeros(5))  # 40 B
+    by_bytes.put("y", np.zeros(5))
+    by_bytes.put("big", np.zeros(13))  # 104 B: larger than the budget
+    assert "big" not in by_bytes and by_bytes.used == 80
+    by_bytes.get("x")
+    by_bytes.put("z", np.zeros(4))  # 32 B: evicts the oldest, "y"
+    assert sorted(by_bytes._d) == ["x", "z"] and by_bytes.used == 72
+    by_bytes.put("x", np.zeros(1))  # replacing an entry re-counts its bytes
+    assert by_bytes.used == 40
+
+
+def test_postings_cache_keeps_a_hot_term(pos_index):
+    """A term read again between 300 other terms stays cached: the postings
+    cache is an LRU of 256 terms, not a FIFO that evicts the hot term
+    after 256 inserts."""
+    reader = IndexReader(DIR_POS)
+    terms = list(reader.terms)
+    hot, others = terms[0], terms[1:301]
+    assert reader.postings(hot)[0].size
+    for t in others:
+        reader.postings(t)
+        before = reader.blocks_decoded
+        reader.postings(hot)
+        assert reader.blocks_decoded == before, t  # a hit decodes nothing
+    assert len(reader._postings_cache) == 256

@@ -152,25 +152,28 @@ def _brute_phrase_matches(terms, plists):
        st.integers(min_value=1, max_value=4))
 @settings(max_examples=40, deadline=None)
 def test_phrase_intersect_matches_bruteforce(seed, n_terms, max_tf):
-    from nmr_fair_dos_ray.search.engine import phrase_intersect
+    """The exact phrase is ordered proximity at slop 0."""
+    from nmr_fair_dos_ray.search.engine import near_intersect
 
     rng = np.random.RandomState(seed)
     plists = _random_plists(rng, n_terms, n_docs=12, max_tf=max_tf)
     terms = [f"t{rng.randint(0, n_terms)}" for _ in range(n_terms)]
     want = _brute_phrase_matches(terms, plists)
-    docs_m, counts = phrase_intersect(terms, plists)
+    docs_m, counts = near_intersect(terms, plists, 0)
     assert dict(zip(docs_m.tolist(), counts.tolist())) == want
 
 
 @given(st.integers(min_value=0, max_value=2**31 - 1),
-       st.integers(min_value=1, max_value=3))
+       st.integers(min_value=1, max_value=3),
+       st.integers(min_value=0, max_value=3),
+       st.booleans())
 @settings(max_examples=40, deadline=None)
-def test_composite_key_hot_path_matches_phrase_intersect(seed, n_terms):
-    """The cached-key fast path (doc*K+pos chains + run_length) must equal
-    phrase_intersect for any positional layout."""
-    from nmr_fair_dos_ray.search.engine import (
-        phrase_intersect, run_length, sorted_intersect,
-    )
+def test_composite_key_hot_path_matches_phrase_intersect(seed, n_terms, slop, ordered):
+    """The shared kernels over global doc*K+pos keys (the cached-key layout:
+    match_keys + run_length over the FULL lists) must equal near_intersect
+    over the same plists (the rank-key layout) for any positional layout,
+    ordered or not."""
+    from nmr_fair_dos_ray.search.engine import match_keys, near_intersect, run_length
 
     rng = np.random.RandomState(seed)
     plists = _random_plists(rng, n_terms, n_docs=10, max_tf=3)
@@ -180,16 +183,10 @@ def test_composite_key_hot_path_matches_phrase_intersect(seed, n_terms):
         t: np.repeat(d, np.diff(o)) * K + f
         for t, (d, o, f) in plists.items()
     }
-    ends = keys[terms[0]]
-    for t in terms[1:]:
-        ends = sorted_intersect(ends + 1, keys[t])
-    want = phrase_intersect(terms, plists)
-    if ends.size == 0:
-        assert want[0].size == 0
-    else:
-        got = run_length(ends // K)
-        np.testing.assert_array_equal(got[0], want[0])
-        np.testing.assert_array_equal(got[1], want[1])
+    got = run_length(match_keys(terms, keys, slop, ordered) // K)
+    want = near_intersect(terms, plists, slop, ordered)
+    np.testing.assert_array_equal(got[0], want[0])
+    np.testing.assert_array_equal(got[1], want[1])
 
 
 @given(st.integers(min_value=0, max_value=2**31 - 1))
@@ -232,8 +229,8 @@ def test_sorted_intersect_equals_numpy(a, b):
 @settings(max_examples=40, deadline=None)
 def test_near_intersect_matches_reachable_set_bruteforce(seed, n_terms, slop):
     """near_intersect == a per-doc Python reachable-set DP for any layout;
-    slop=0 must equal phrase_intersect exactly."""
-    from nmr_fair_dos_ray.search.engine import near_intersect, phrase_intersect
+    slop=0 must equal the brute-force phrase exactly."""
+    from nmr_fair_dos_ray.search.engine import near_intersect
 
     rng = np.random.RandomState(seed)
     plists = _random_plists(rng, n_terms, n_docs=12, max_tf=4)
@@ -262,9 +259,8 @@ def test_near_intersect_matches_reachable_set_bruteforce(seed, n_terms, slop):
     docs, counts = near_intersect(terms, plists, slop)
     assert dict(zip(docs.tolist(), counts.tolist())) == want
     if slop == 0:
-        pd_, pc_ = phrase_intersect(terms, plists)
-        np.testing.assert_array_equal(docs, pd_)
-        np.testing.assert_array_equal(counts, pc_)
+        assert dict(zip(docs.tolist(), counts.tolist())) == \
+            _brute_phrase_matches(terms, plists)
 
 
 @given(st.binary(max_size=300), st.integers(min_value=0, max_value=2**31 - 1))
