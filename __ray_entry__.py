@@ -26,7 +26,7 @@ from typing import Any
 def entry() -> Any:
     """Flagship: build the fulltext index over sf0.001 documents (SPIMI
     invert → shard shuffle-merge → compressed shards) and serve BM25 top-10
-    via block-max WAND. Returns the hits joined with corpus stats."""
+    over block-max-pruned doc windows. Returns the hits joined with corpus stats."""
     import pandas as pd
 
     from nmr_fair_dos_ray.pipelines.doc_pipelines import (
@@ -38,7 +38,7 @@ def entry() -> Any:
     idx = documents_index(sf_dir)
     reader = IndexReader(idx)
     s = Searcher(reader)
-    hits = s.search(BM25_QUERY, k=10, algorithm="bmw")
+    hits = s.search(BM25_QUERY, k=10)
     return pd.DataFrame(
         {
             "query": [BM25_QUERY] * len(hits),

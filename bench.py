@@ -136,7 +136,7 @@ def run_bench() -> dict:
     lats = []
     for q in lat_queries:
         q0 = time.time()
-        s.search(q, k=10, algorithm="bmw")
+        s.search(q, k=10)
         lats.append((time.time() - q0) * 1000)
     lats_np = np.array(lats)
     # (b) throughput via actor pool: ONE object-store copy of the index
@@ -246,7 +246,7 @@ def run_append_bench() -> dict:
     """K1 analog benchmark: append 10% new files to an existing index via
     ``build_index(..., resume=True)`` (identity-matched partition carryover)
     vs a full from-scratch rebuild over the same 100% corpus. Also asserts
-    post-append search equivalence against the rebuild (bit-identical BMW
+    post-append search equivalence against the rebuild (bit-identical
     top-k) — numbers recorded in BASELINE.md."""
     import ray
 
@@ -301,7 +301,7 @@ def run_append_bench() -> dict:
     sf_ = Searcher(IndexReader(f"{base}/idx_full"))
     queries = [r["query"] for r in pq.read_table(fx["queries"]).to_pylist()]
     mismatches = sum(
-        sa.search(q, k=10, algorithm="bmw") != sf_.search(q, k=10, algorithm="bmw")
+        sa.search(q, k=10) != sf_.search(q, k=10)
         for q in queries
     )
     ray.shutdown()
@@ -373,7 +373,7 @@ def run_lifecycle_bench() -> dict:
     t_delete = time.time() - t0
     dead = set(int(v) for v in victims)
     expect_del = {
-        q: [(d, sc) for d, sc in s0.search(q, k=10_000, algorithm="taat")
+        q: [(d, sc) for d, sc in s0.search(q, k=10_000)
             if d not in dead][:10]
         for q in eq_queries
     }

@@ -17,7 +17,7 @@ Layout
 - ``stages/``     reusable map_batches stage callables
 - ``functions/``  scalar/text functions (base64, datetime, license, quality…)
 - ``pipelines/``  end-to-end pipelines (index build, records, dedup, ann, sql-ish)
-- ``search/``     BM25 scoring: block-max WAND + TAAT, actor-pool serving
+- ``search/``     BM25 scoring: TAAT over block-max-pruned doc windows, actor-pool serving
 - ``state/``      manifests (checkpoint/resume lineage) + broadcast helpers
 
 None of this calls ``ray.init()`` — sessions are owned by the caller

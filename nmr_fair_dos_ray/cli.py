@@ -9,8 +9,7 @@ the engine, so the commands are::
         [--num-shards N] [--no-resume] [--tokenizer code|simple] \
         [--field-cols repo,path,lang] [--token-cols path,lang] \
         [--stored-cols repo,path,commit,lang]
-    python -m nmr_fair_dos_ray search --index DIR --query "..." [-k 10] \
-        [--algorithm bmw|taat]
+    python -m nmr_fair_dos_ray search --index DIR --query "..." [-k 10]
     python -m nmr_fair_dos_ray stats  --index DIR
 
 On a cluster: ``ray job submit --working-dir . -- python -m nmr_fair_dos_ray
@@ -74,7 +73,6 @@ def cmd_search(args: argparse.Namespace) -> int:
     dirs = args.index if isinstance(args.index, list) else [args.index]
     mode = args.mode
     params = {
-        "bm25": {"algorithm": args.algorithm},
         "near": {"slop": args.slop, "ordered": not args.unordered},
         "fuzzy": {"max_edits": args.max_edits},
         "query": {"max_edits": args.max_edits},
@@ -211,9 +209,6 @@ def main(argv: list[str] | None = None) -> int:
                         "(one index per scored field)")
     s.add_argument("--query", required=True)
     s.add_argument("-k", type=int, default=10)
-    s.add_argument("--algorithm", choices=("bmw", "taat"), default=None,
-                   help="bm25 scoring algorithm (default: the planner picks "
-                        "by the query terms' posting blocks)")
     s.add_argument(
         "--mode",
         choices=("bm25", "and", "phrase", "near", "prefix", "regex",

@@ -4,7 +4,7 @@ The reference stores postings inside Elasticsearch/Lucene (a black box behind
 reference: src/nmr_FAIR_DOs/connectors/elasticsearch.py:204-229); this module
 is the engine's own codec, per BASELINE.json ``north_star``: docID-sorted
 lists, delta-encoded gaps, varint (LEB128) byte packing, 128-posting blocks,
-per-block max-score metadata for block-max WAND.
+per-block max-score metadata for block-max window pruning.
 
 Both encode and decode are numpy-vectorized: they loop over *byte positions*
 (≤10 passes for uint64), never over values, so a multi-million-posting shard
@@ -13,7 +13,7 @@ compresses without per-value Python overhead.
 Block layout per term (Arrow struct ``BLOCK_TYPE``, stored in shard parquet
 files):
     doc_base    int64    absolute first docID of the block
-    doc_last    int64    absolute last docID (skip pointer for WAND)
+    doc_last    int64    absolute last docID (window and range pruning)
     n           int32    number of postings in the block
     max_tf_norm float64  idf-free block max: max over the block of
                          tf*(k1+1)/(tf + k1*(1-b+b*dl/avgdl))
@@ -27,7 +27,7 @@ scorer computes every posting's score as that same idf times its tf-norm
 (``bm25_term_scores``), and multiplying by a positive float64 is monotone, so
 the derived bound is a true upper bound by construction, whatever stats the
 index carries (float64 on purpose: a float32-rounded bound could fall below
-the true score and break BMW pruning).
+the true score and break window pruning).
 """
 
 from __future__ import annotations
@@ -173,7 +173,7 @@ def encode_blocks(
 
     ``max_tf_norm`` is the exact maximum idf-free BM25 factor within the
     block (computed from tf and the posting's true doclen); times the term's
-    idf it is the block-max bound driving BMW pruning (SURVEY.md §2.8 O1).
+    idf it is the block-max bound driving window pruning (SURVEY.md §2.8 O1).
     """
     from nmr_fair_dos_ray.search.bm25 import bm25_tf_norm
 

@@ -237,7 +237,7 @@ def q_bm25_top10(sf_dir: str) -> pd.DataFrame:
     """
     idx = documents_index(sf_dir)
     s = Searcher(IndexReader(idx))
-    hits = s.search(BM25_QUERY, k=10, algorithm="bmw")
+    hits = s.search(BM25_QUERY, k=10)
     return pd.DataFrame(
         {
             "doc_id": [d for d, _ in hits],
@@ -253,7 +253,7 @@ def q_search_page2(sf_dir: str) -> pd.DataFrame:
     float64 across the engine and the oracle."""
     idx = documents_index(sf_dir)
     s = Searcher(IndexReader(idx))
-    page1 = s.search(BM25_QUERY, k=10, algorithm="bmw")
+    page1 = s.search(BM25_QUERY, k=10)
     cursor = page1[-1] if page1 else None
     hits = s.search_after(BM25_QUERY, k=10,
                           after=(cursor[1], cursor[0]) if cursor else None)
@@ -333,7 +333,7 @@ def q_snippets(sf_dir: str) -> pd.DataFrame:
 
     idx = documents_index(sf_dir)
     s = Searcher(IndexReader(idx))
-    hits = [d for d, _ in s.search(BM25_QUERY, k=10, algorithm="bmw")]
+    hits = [d for d, _ in s.search(BM25_QUERY, k=10)]
     terms = sorted(set(BM25_QUERY.split()))
     docs = sized_read_parquet(_t(sf_dir, "documents"), columns=["doc_id", "text"])
     hitset = pa.array(sorted(int(d) for d in hits), pa.int64())
@@ -390,7 +390,7 @@ def q_delete_search(sf_dir: str) -> pd.DataFrame:
     build_index(_t(sf_dir, "documents"), idx_dir, DOC_INDEX_CFG, resume=True)
     delete_by_term(idx_dir, "source:src3")
     s = Searcher(IndexReader(idx_dir))
-    hits = s.search(BM25_QUERY, k=10, algorithm="bmw")
+    hits = s.search(BM25_QUERY, k=10)
     return pd.DataFrame(
         {
             "doc_id": [d for d, _ in hits],

@@ -25,7 +25,7 @@ Phase 2 (the SPIMI merge — a storage-backed map-side shuffle):
     min/max statistics prune the rest). One task per shard: sort
     (term, doc_id), per-term df, 128-posting blocks with delta+varint
     compression and per-block exact max idf-free BM25 factor (block-max
-    metadata for BMW) → one shard file (atomic) → manifest row per shard.
+    metadata for window pruning) → one shard file (atomic) → manifest row per shard.
     This replaces ``Dataset.groupby(shard).map_groups`` deliberately: a
     sort-based all-to-all moved 100% of the postings through the object
     store and measured ~10× slower than the row-group-pruned direct reads;
@@ -133,13 +133,13 @@ class IndexConfig:
     # ---- champion lists (static-pruning experiment, VERDICT r2 item 8) ----
     # champion_m > 0 stores, per term, the doc_ids + stored tf_norm of its
     # top-m postings by impact (BM25 tf-norm; idf is constant within a term
-    # so the order is global). At query time the searcher floors block-max
-    # WAND's top-k threshold from the champions' exact per-term contributions
-    # BEFORE traversal — results stay bit-identical (the floor is a proven
-    # lower bound; see search/engine.py Searcher docstring), but early ranges
-    # prune instead of being scored. Terms with df < champion_df_min store no
+    # so the order is global). At query time the searcher floors the windowed
+    # scorer's top-k threshold from the champions' exact per-term
+    # contributions BEFORE any window is scored — results stay bit-identical
+    # (the floor is a proven lower bound; see search/engine.py Searcher
+    # docstring), but early windows can be skipped instead of scored. Terms with df < champion_df_min store no
     # champions: the Zipf tail (df ≤ m) would duplicate its entire posting
-    # list for lists BMW traverses in 1-2 blocks anyway — measured at sf0.1,
+    # list for lists of only 1-2 blocks anyway — measured at sf0.1,
     # the cutoff shrinks champion storage ~8× at identical p50.
     # champion_df_min=None → auto (4 * champion_m).
     champion_m: int = 0

@@ -525,11 +525,11 @@ def refresh_stats(index_dir: str) -> dict:
     No bound is written: the reader derives each block's bound as
     ``idf(df, n_docs) * max_tf_norm`` from the df in the file and the
     n_docs in the manifest, the same idf the scorer multiplies every
-    posting's tf_norm by, so BMW stays lossless.
+    posting's tf_norm by, so window pruning stays lossless.
 
     Champion lists are DROPPED: their stored tf_norm values are exact
-    score contributions under the old avgdl and would inflate the BMW
-    floor under the new one (over-pruning). The build config is left as
+    score contributions under the old avgdl and would inflate the
+    champion floor under the new one (over-pruning). The build config is left as
     it is — the reader finds champion lists by column presence — so the
     next append (``build_index(resume=True)`` over added files) stays an
     append, and its merge rebuilds the champions under the new stats.

@@ -48,8 +48,8 @@ def bm25_term_scores(
     denom = tf + k1 * (1.0 - b + b * dl / avgdl)
     # NOTE: parenthesized so score == idf * tf_norm BIT-exactly — the
     # reader's block-max bound is idf * max_tf_norm (codec.py), and
-    # (idf*num)/denom can land 1 ulp above idf*(num/denom), breaking BMW's
-    # <= pruning.
+    # (idf*num)/denom can land 1 ulp above idf*(num/denom), so a window
+    # bound could sit below a score it must cover and be skipped.
     return idf * ((tf * (k1 + 1.0)) / denom)
 
 

@@ -1,4 +1,4 @@
-"""Query serving: index reader + BM25 top-k (TAAT and block-max WAND).
+"""Query serving: index reader + BM25 top-k over block-max-pruned doc windows.
 
 Engine analog of the reference's read path
 (reference: src/nmr_FAIR_DOs/connectors/elasticsearch.py:234-313
@@ -29,9 +29,11 @@ Multi-term queries score through one batched path: term expansions
 ``IndexReader.postings_many`` decodes all of their postings at once, and
 ``Searcher._score_map`` scores them in one ``bm25_term_scores`` call and
 sums per doc with one ``np.bincount`` — the cost of a bm25 query with as
-many postings, not a fixed cost per expanded term. ``Searcher.search``
-plans: TAAT when the query terms hold at most :data:`TAAT_MAX_BLOCKS`
-posting blocks, block-max WAND otherwise.
+many postings, not a fixed cost per expanded term. ``Searcher._taat`` is the
+one ranked-disjunction scorer: a query holding more than
+:data:`WINDOW_POSTINGS` live postings is scored in equal doc-id windows,
+visited in descending block-max bound, and the windows whose bound falls
+below the k-th best score so far are skipped unscored.
 
 Positional queries (phrase, near and the query string's quoted atoms) have
 one match routine, ``Searcher._near_match``: an exact phrase is ordered
@@ -43,14 +45,13 @@ when the candidate docs are not selective, keys over the candidates' ranks
 window.
 
 Determinism: scores are float64; per-doc accumulation order is the
-lexicographic order of the unique query terms in BOTH algorithms, so TAAT,
-BMW and the pure-Python oracle produce bit-identical scores
+lexicographic order of the unique query terms whatever the window count, so
+the engine and the pure-Python oracle produce bit-identical scores
 (SURVEY.md §7.3 item 1). Tie-break: (score desc, doc_id asc).
 """
 
 from __future__ import annotations
 
-import heapq
 import json
 import os
 from collections import OrderedDict
@@ -276,8 +277,8 @@ class IndexReader:
         if t is not None and "champ_docs" in t.column_names:
             # champion lists (index built with champion_m > 0): per-term
             # impact-ordered doc_ids + their stored tf_norm, used to floor
-            # BMW's top-k threshold before traversal (idf * tfn is bit-exactly
-            # the term's score contribution for that doc)
+            # the top-k threshold before any window is scored (idf * tfn is
+            # bit-exactly the term's score contribution for that doc)
             champ = t["champ_docs"].combine_chunks()
             st["c_off"] = champ.offsets.to_numpy(zero_copy_only=False).astype(np.int64)
             st["c_docs"] = champ.flatten().to_numpy(zero_copy_only=False)
@@ -412,6 +413,7 @@ class IndexReader:
         self._scan_cache = _LRU(64)
         self._is_token: np.ndarray | None = None  # see _token_terms
         self.blocks_decoded = 0  # cumulative; see _decode_blocks
+        self.postings_scored = 0  # cumulative; see Searcher._score_map
         self._tid_cache = _LRU(4096)
         self._tomb = st.get("tomb")  # sorted unique np.int64 doc_ids or None
         # doc-partitioned slice bounds [lo, hi): boundary-block postings
@@ -539,17 +541,21 @@ class IndexReader:
         so the Zipf head stays decoded across queries; a larger request
         (an expansion) is decoded in one batched pass with no per-term
         Python and bypasses the LRU instead of flushing it."""
+        return _concat_postings(*self._postings_parts(tids))
+
+    def _postings_parts(
+        self, tids: np.ndarray
+    ) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray]:
+        """:meth:`postings_many` before its concatenation: ``(parts,
+        counts)``, one ``(doc_ids, tfs)`` part per term served through
+        :meth:`postings` (the cached arrays themselves, no copy) or one
+        part holding a batched decode, and the postings of each term."""
         tids = np.asarray(tids, np.int64)
-        if tids.size <= self.LRU_TERMS:
-            parts = [self.postings(t) for t in self.term_text(tids)]
-            counts = np.array([d.size for d, _ in parts], np.int64)
-            if len(parts) == 1:
-                return parts[0][0], parts[0][1], counts
-            if not parts:
-                return np.empty(0, np.int64), np.empty(0, np.int64), counts
-            return (np.concatenate([d for d, _ in parts]),
-                    np.concatenate([f for _, f in parts]), counts)
-        return self._decode_live(tids)
+        if tids.size > self.LRU_TERMS:
+            docs, tfs, counts = self._decode_live(tids)
+            return [(docs, tfs)], counts
+        parts = [self.postings(t) for t in self.term_text(tids)]
+        return parts, np.array([d.size for d, _ in parts], np.int64)
 
     def _decode_live(
         self, tids: np.ndarray
@@ -594,10 +600,6 @@ class IndexReader:
             return u
         by_term = pc.sort_indices(self._terms_arr.take(pa.array(u)))
         return u[by_term.to_numpy(zero_copy_only=False)]
-
-    def n_blocks(self, tids: np.ndarray) -> int:
-        """Posting blocks of the terms ``tids`` — metadata only."""
-        return int((self._boff[tids + 1] - self._boff[tids]).sum())
 
     def idf(self, term: str) -> float:
         tid = self._lookup(term)
@@ -1144,6 +1146,33 @@ def _gather_ranges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return np.arange(int(lens.sum()), dtype=np.int64) + np.repeat(lo - starts, lens)
 
 
+def _concat_postings(
+    parts: list[tuple[np.ndarray, np.ndarray]], counts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(doc_ids, tfs)`` parts joined in order (a lone part as is), with
+    their per-term ``counts``."""
+    if len(parts) == 1:
+        return parts[0][0], parts[0][1], counts
+    if not parts:
+        return np.empty(0, np.int64), np.empty(0, np.int64), counts
+    return (np.concatenate([d for d, _ in parts]),
+            np.concatenate([f for _, f in parts]), counts)
+
+
+def _top_k(
+    docs: np.ndarray, scores: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The ``k`` best of ``(docs, scores)`` ranked by (score desc, doc_id
+    asc)."""
+    kk = min(k, docs.size)
+    if docs.size > 4 * kk:
+        # only docs scoring at least the k-th best can rank (ties kept)
+        m = scores >= np.partition(scores, docs.size - kk)[docs.size - kk]
+        docs, scores = docs[m], scores[m]
+    order = np.lexsort((docs, -scores))[:kk]
+    return docs[order], scores[order]
+
+
 def _group_docs(
     docs: np.ndarray, weights: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray | None]:
@@ -1389,191 +1418,42 @@ def _slice_state_to_doc_range(st: dict, lo: int, hi: int) -> dict:
     return out
 
 
-class _Cursor:
-    """Span-level posting cursor for block-max WAND: skips whole blocks via
-    the doc_last skip array and decodes SPANS of blocks (multi-block, one
-    vectorized pass) so the scorer's outer loop amortizes over hundreds of
-    postings instead of one."""
-
-    __slots__ = ("r", "term", "idf", "j0", "nb", "lasts", "s_lo", "s_hi",
-                 "pi", "docs", "tfs", "ub", "exhausted", "_cbi_key", "_cbi_val")
-
-    #: lists longer than this many blocks are decoded whole through the
-    #: reader's LRU — Zipf-head terms recur across queries and block
-    #: skipping rarely pays on them, while rare lists stay lazily decoded
-    CACHE_BLOCKS = 64
-
-    def __init__(self, reader: IndexReader, term: str, tid: int, idf: float):
-        self.r = reader
-        self.term = term
-        self.idf = idf
-        self.j0 = int(reader._boff[tid])
-        self.nb = int(reader._boff[tid + 1]) - self.j0
-        self.lasts = reader._b_last[self.j0 : self.j0 + self.nb]
-        self.exhausted = self.nb == 0
-        self._cbi_key = (-1, -1)
-        self._cbi_val = 0
-        self.ub = float(reader._b_max[self.j0 : self.j0 + self.nb].max()) if self.nb else 0.0
-        if self.exhausted:
-            return
-        cached = reader._postings_cache.get(term)
-        if cached is None and self.nb > self.CACHE_BLOCKS:
-            cached = reader.postings(term)  # decodes once, fills the LRU
-        if cached is not None:
-            self.docs, self.tfs = cached
-            self.s_lo, self.s_hi = 0, self.nb
-            self.pi = 0
-            # cached postings are MASKED (tombstones / doc-range): a term
-            # whose surviving postings are empty must start exhausted
-            if self.docs.size == 0:
-                self.exhausted = True
-        else:
-            self._span(0, 1)
-
-    def _span(self, lo: int, hi: int) -> None:
-        """Decode blocks [lo, hi) as the resident span; position at start."""
-        self.docs, self.tfs = self.r._decode_range(self.j0 + lo, self.j0 + hi)
-        self.s_lo, self.s_hi = lo, hi
-        self.pi = 0
-
-    @property
-    def doc(self) -> int:
-        return int(self.docs[self.pi])
-
-    def _cbi(self) -> int:
-        """Block index (absolute, 0-based within term) of the current doc.
-        Memoized on (s_lo, pi): bound() and span_max() both need it within
-        one BMW iteration, and cursors often do not move between iterations
-        — this halves the per-iteration searchsorted count."""
-        key = (self.s_lo, self.pi)
-        if key != self._cbi_key:
-            self._cbi_val = self.s_lo + int(
-                np.searchsorted(self.lasts[self.s_lo : self.s_hi], self.docs[self.pi])
-            )
-            self._cbi_key = key
-        return self._cbi_val
-
-    def bound(self, span: int) -> int:
-        """doc_last of the block ``span`` blocks ahead of the current one —
-        the candidate range end for range-at-a-time processing."""
-        b = self._cbi()
-        return int(self.lasts[min(b + span - 1, self.nb - 1)])
-
-    def span_max(self, hi: int) -> float:
-        """Max block max_score over blocks intersecting [current_doc, hi]."""
-        b = self._cbi()
-        e = b + int(np.searchsorted(self.lasts[b : self.nb], hi, side="left")) + 1
-        e = min(e, self.nb)
-        return float(self.r._b_max[self.j0 + b : self.j0 + e].max())
-
-    def next_geq(self, target: int) -> None:
-        """Advance to the first posting with doc_id >= target (block skip)."""
-        if self.exhausted or self.docs[self.pi] >= target:
-            return
-        if target <= self.lasts[self.s_hi - 1]:
-            pi = int(np.searchsorted(self.docs, target, side="left"))
-            if pi < self.docs.size:
-                self.pi = pi
-                return
-            # MASKED cached postings (tombstones / doc-range) can end
-            # before the raw doc_last metadata — exhaust instead of
-            # pointing past the array (raw spans always contain a posting
-            # up to their doc_last, so they never reach here)
-            if self.s_hi >= self.nb:
-                self.exhausted = True
-                return
-        nbi = int(np.searchsorted(self.lasts, target, side="left"))
-        if nbi >= self.nb:
-            self.exhausted = True
-            return
-        self._span(nbi, nbi + 1)
-        self.pi = int(np.searchsorted(self.docs, target, side="left"))
-
-    def range_take(self, hi: int) -> tuple[np.ndarray, np.ndarray]:
-        """Postings with current_doc <= doc_id <= hi (extends the decoded
-        span if the range crosses its end)."""
-        if hi > self.lasts[self.s_hi - 1]:
-            cur = self.docs[self.pi]
-            b_hi = int(np.searchsorted(self.lasts, hi, side="left"))
-            self._span(self.s_lo, min(b_hi + 1, self.nb))
-            self.pi = int(np.searchsorted(self.docs, cur, side="left"))
-        j = int(np.searchsorted(self.docs, hi, side="right"))
-        return self.docs[self.pi : j], self.tfs[self.pi : j]
-
-
-#: blocks per scoring range in BMW — amortizes the Python-level outer loop
-#: over ~SPAN*128 postings while keeping block-max pruning at span
-#: granularity. Swept on the 150k-doc code corpus (k=10, Zipf-heavy
-#: queries): 4→32/8→21/16→18.5/32→16/64→21/128→26 ms — pruning loses less
-#: than loop amortization gains up to ~32 blocks, then range over-decode
-#: dominates. Results are bound-pruned only, so identical at any span.
-_SPAN_BLOCKS = 32
-
-#: the planner's cut: ``Searcher.search`` scores a query by TAAT when its
-#: terms hold at most this many posting blocks in all, else by BMW. Swept
-#: warm and cold at k=10/100 (1 CPU): TAAT was faster at every size on the
-#: perfbench corpus (≤ 35 blocks per query) and on the 150k-doc sf-bench
-#: index (2-4x up to 1,024 blocks, 1.2-1.9x beyond), but its transient
-#: grows with the postings (traced peak 8 MB at ≤ 1,024 blocks, 40 MB at
-#: ~5k) while BMW's stays 5-11 MB, so Zipf-head queries keep BMW.
-TAAT_MAX_BLOCKS = 1024
+#: live postings per scoring window of :meth:`Searcher._taat`: a query
+#: holding more splits its doc-id span into ceil(postings / WINDOW_POSTINGS)
+#: equal windows, which bounds the scorer's transient memory by the window
+#: (about 60 B per posting scored at once) and lets block-max bounds skip
+#: whole windows. Queries up to this size — every query of the perfbench
+#: corpus — are one window, scored exactly as without windows.
+WINDOW_POSTINGS = 1 << 15
 
 
 class Searcher:
     """Top-k BM25 search over an :class:`IndexReader`.
 
-    ``use_champions`` (default on) engages champion-list threshold flooring
-    in BMW when the index was built with ``IndexConfig.champion_m > 0``: for
-    each query term, the stored (champion doc, tf_norm) pairs give BIT-EXACT
-    per-term score contributions (``idf * tfn``, the same single multiply the
-    scorer uses); accumulating them over the union of champion docs yields a
-    LOWER BOUND on each candidate's true score (float addition of extra
-    non-negative terms is monotone), and the k-th largest such bound is a
-    valid initial threshold θ: k real docs have true score ≥ θ, so any doc
-    with upper bound < θ can never reach the top-k. Traversal then starts
-    with θ instead of -inf — no posting is decoded to compute it, no doc is
-    scored twice, the heap logic is untouched. Because θ is
-    out-of-traversal-order knowledge, tie handling must not prune equality:
-    pivot/prune comparisons become >= / < while a floor is active (strictly
-    more conservative), which keeps results bit-identical to the unfloored
-    engine including (score desc, doc_id asc) tie-breaks.
+    When the index holds champion lists (``IndexConfig.champion_m > 0``),
+    a multi-window query with no filter seeds its pruning threshold θ from
+    them (:meth:`_champion_floor`): for each query term the stored
+    (champion doc, tf_norm) pairs give BIT-EXACT per-term contributions
+    (``idf * tfn``, the scorer's own multiply); summed over the union of
+    champion docs they LOWER-bound each doc's true score, so the k-th
+    largest sum is a valid θ before any window is scored. A window is
+    skipped only when its bound is strictly below θ, so ties and the
+    (score desc, doc_id asc) order are untouched.
     """
 
-    def __init__(self, reader: IndexReader, use_champions: bool = True):
+    def __init__(self, reader: IndexReader):
         self.r = reader
-        self.use_champions = bool(use_champions) and reader.has_champions
 
     # ------------------------------------------------------------------ api
-    def search(
-        self, query: str, k: int = 10, algorithm: str | None = None
-    ) -> list[tuple[int, float]]:
+    def search(self, query: str, k: int = 10) -> list[tuple[int, float]]:
         """-> [(doc_id, score)] ranked by (score desc, doc_id asc), ≤ k rows.
 
         ``field:value`` atoms are conjunctive exact filters; remaining terms
-        are BM25-ranked. Exact-only queries return matches ordered by doc_id
-        with score 0.0 (the reference's exact-verification path,
-        elasticsearch.py:295-306, needs no relevance order).
-
-        ``algorithm`` is ``"taat"``, ``"bmw"`` or None: the planner, which
-        takes TAAT when the query terms hold at most
-        :data:`TAAT_MAX_BLOCKS` posting blocks (metadata only) and BMW
-        otherwise. Both return the same ranking with bit-equal scores.
+        are BM25-ranked by :meth:`_taat`. Exact-only queries return matches
+        ordered by doc_id with score 0.0 (the reference's exact-verification
+        path, elasticsearch.py:295-306, needs no relevance order).
         """
-        terms, exact = self.r.tokenizer.tokenize_query(query)
-        allowed = self._exact_candidates(exact)
-        if not terms:
-            if allowed is None:
-                return []
-            docs = np.sort(allowed)[:k]
-            return [(int(d), 0.0) for d in docs]
-        if algorithm not in (None, "taat", "bmw"):
-            raise ValueError(f"unknown algorithm {algorithm!r}")
-        tids = self.r.term_ids(terms)
-        if algorithm is None:
-            algorithm = "taat" if self.r.n_blocks(tids) <= TAAT_MAX_BLOCKS else "bmw"
-        if algorithm == "taat":
-            return self._taat(tids, k, allowed)
-        return self._bmw(terms, k, allowed)
+        return self.search_after(query, k)
 
     def _exact_candidates(self, exact_terms: list[str]) -> np.ndarray | None:
         """Intersection of exact-field posting lists (None = no filter)."""
@@ -1594,12 +1474,13 @@ class Searcher:
         never recompute-and-discard like from/size offset paging, and
         concurrent index appends can't shift earlier pages.
 
-        Scores are deterministic float64 (bit-equal across TAAT/BMW and the
-        SQL oracle), so the cursor — the last hit of the previous page —
-        addresses a unique position. Runs the exact TAAT path with a
-        vectorized cursor filter; page cost is one full scoring pass
-        (same as ES: search_after still scores all matches, it only skips
-        the discarded-prefix materialization)."""
+        Scores are deterministic float64 (bit-equal to the SQL oracle), so
+        the cursor — the last hit of the previous page — addresses a unique
+        position. :meth:`_taat` applies the cursor as a vectorized filter in
+        every window and seeds no champion floor under it (a champion on an
+        earlier page would lift θ above the page's k-th score); page cost
+        is one scoring pass (same as ES: search_after still scores the
+        matches, it only skips the discarded-prefix materialization)."""
         terms, exact = self.r.tokenizer.tokenize_query(query)
         allowed = self._exact_candidates(exact)
         if not terms:
@@ -1945,27 +1826,30 @@ class Searcher:
 
     # ----------------------------------------------------------------- taat
     def _score_map(
-        self, tids: np.ndarray, allowed: np.ndarray | None,
+        self, tids: np.ndarray, docs: np.ndarray, tfs: np.ndarray,
+        counts: np.ndarray, allowed: np.ndarray | None,
         forbidden: np.ndarray | None = None,
+        after: tuple[float, int] | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """The TAAT accumulation WITHOUT the top-k cut: ``(doc_ids, scores)``
-        over every doc matching any of the terms ``tids`` (ascending term
-        order, unique), doc_id-sorted. ``allowed`` / ``forbidden`` are
-        sorted doc_id sets. Shared by :meth:`_taat` and the multi-field
-        ``best_fields`` merge (which needs each field's full match map to
-        take the per-doc max).
+        """Term-at-a-time scores WITHOUT the top-k cut: ``(doc_ids,
+        scores)`` over every doc of the postings ``docs``/``tfs``, laid out
+        in the order of the terms ``tids`` (ascending term order, unique;
+        ``counts[i]`` postings of ``tids[i]``), doc_id-sorted. ``allowed`` /
+        ``forbidden`` are sorted doc_id sets; ``after`` keeps the docs
+        strictly after a ``(score, doc_id)`` cursor. Scores one window of
+        :meth:`_taat` and each field of the ``best_fields`` merge (which
+        needs the full match map to take the per-doc max); the postings
+        scored are counted in ``IndexReader.postings_scored``.
 
-        One batched decode of every term's postings (in term order), the
-        per-posting idf repeated from the reader's per-term idf, one
+        The per-posting idf repeated from the reader's per-term idf, one
         ``bm25_term_scores`` call and one ordered per-doc sum
         (:func:`_group_docs`) — bit-equal to adding the terms' score
         vectors one after another in sorted term order."""
         r = self.r
-        docs, tfs, counts = r.postings_many(tids)
+        r.postings_scored += docs.size
         if docs.size == 0:
             return docs, np.empty(0, np.float64)
-        idf = r._idf[tids]
-        scores = bm25_term_scores(tfs, r.doclens(docs), np.repeat(idf, counts),
+        scores = bm25_term_scores(tfs, r.doclens(docs), np.repeat(r._idf[tids], counts),
                                   r.k1, r.b, r.avgdl)
         uniq, acc = (docs, scores) if tids.size == 1 else _group_docs(docs, scores)
         if allowed is not None:
@@ -1974,6 +1858,11 @@ class Searcher:
         if forbidden is not None and forbidden.size and uniq.size:
             keep = ~sorted_lookup(uniq, forbidden)[1]
             uniq, acc = uniq[keep], acc[keep]
+        if after is not None and uniq.size:
+            a_s, a_d = float(after[0]), int(after[1])
+            # strictly after the cursor in (score desc, doc asc) order
+            keep = (acc < a_s) | ((acc == a_s) & (uniq > a_d))
+            uniq, acc = uniq[keep], acc[keep]
         return uniq, acc
 
     def _taat(
@@ -1981,181 +1870,111 @@ class Searcher:
         forbidden: np.ndarray | None = None,
         after: tuple[float, int] | None = None,
     ) -> list[tuple[int, float]]:
-        """Term-at-a-time, fully vectorized, over the terms ``tids``
+        """The one ranked-disjunction scorer: top-k over the terms ``tids``
         (ascending term order, e.g. :meth:`IndexReader.term_ids` of sorted
-        terms or an expansion).
+        terms or an expansion), filtered as in :meth:`_score_map`.
 
-        Per-doc addition order equals the sorted term order (see
-        :meth:`_score_map`) ⇒ bit-equal to BMW and to the pure-Python
-        oracle.
+        Up to :data:`WINDOW_POSTINGS` live postings are scored in one
+        :meth:`_score_map` pass. More split the postings' doc-id span into
+        ceil(postings / WINDOW_POSTINGS) equal windows, each scored the
+        same way, visited in descending bound (:meth:`_window_bounds`)
+        and ended at the first bound strictly below θ: the k-th best score
+        so far, seeded from the champion floor when no filter is set. Every
+        doc is scored whole inside its one window, so each score is the
+        same term-ordered sum as the oracle's, whatever the window count.
         """
-        uniq, acc = self._score_map(tids, allowed, forbidden)
-        if after is not None and uniq.size:
-            a_s, a_d = float(after[0]), int(after[1])
-            # strictly after the cursor in (score desc, doc asc) order
-            m = (acc < a_s) | ((acc == a_s) & (uniq > a_d))
-            uniq, acc = uniq[m], acc[m]
-        if uniq.size == 0:
-            return []
-        kk = min(k, uniq.size)
-        if uniq.size > 4 * kk:
-            # only docs scoring at least the k-th best can rank (ties kept)
-            m = acc >= np.partition(acc, uniq.size - kk)[uniq.size - kk]
-            uniq, acc = uniq[m], acc[m]
-        # rank by (score desc, doc_id asc): lexsort with doc desc then score asc, reversed
-        order = np.lexsort((uniq, -acc))[:kk]
-        return [(int(uniq[i]), float(acc[i])) for i in order]
+        r = self.r
+        parts, counts = r._postings_parts(tids)
+        n_win = -(-sum(d.size for d, _ in parts) // WINDOW_POSTINGS)
+        if n_win > 1:
+            lo = min(int(d.min()) for d, _ in parts if d.size)
+            hi = max(int(d.max()) for d, _ in parts if d.size) + 1
+            n_win = min(n_win, hi - lo)
+        if n_win <= 1:
+            top = _top_k(*self._score_map(tids, *_concat_postings(parts, counts),
+                                          allowed, forbidden, after), k)
+            return [(int(d), float(sc)) for d, sc in zip(*top)]
+        edges = lo + (hi - lo) * np.arange(n_win + 1) // n_win
+        # a part holds one term's postings, or all terms' (a batched decode)
+        part_counts = np.split(counts, len(parts))
+        cuts = []  # per part: (terms, n_win + 1) posting offsets of the edges
+        for (d, _), c in zip(parts, part_counts):
+            base = np.arange(c.size) * hi  # the part's terms made one sorted key
+            key = d if c.size == 1 else d + np.repeat(base, c)
+            cuts.append(np.searchsorted(key, base[:, None] + edges))
+        bounds = self._window_bounds(tids, edges)
+        theta = (self._champion_floor(tids, k) if r.has_champions and allowed is None
+                 and forbidden is None and after is None else 0.0)
+        top = (np.empty(0, np.int64), np.empty(0, np.float64))
+        for w in np.argsort(-bounds, kind="stable").tolist():
+            if bounds[w] < theta:
+                break  # this and every later window holds no doc that can rank
+            window, n_in = [], []
+            for (d, f), c, cut in zip(parts, part_counts, cuts):
+                a, b = cut[:, w], cut[:, w + 1]
+                ix = slice(a[0], b[0]) if c.size == 1 else _gather_ranges(a, b)
+                window.append((d[ix], f[ix]))
+                n_in.append(b - a)
+            uniq, acc = self._score_map(
+                tids, *_concat_postings(window, np.concatenate(n_in)),
+                allowed, forbidden, after)
+            top = _top_k(np.concatenate([top[0], uniq]), np.concatenate([top[1], acc]), k)
+            if top[0].size == k:
+                theta = max(theta, float(top[1][-1]))
+        return [(int(d), float(sc)) for d, sc in zip(*top)]
+
+    def _window_bounds(self, tids: np.ndarray, edges: np.ndarray) -> np.ndarray:
+        """Per doc-id window ``[edges[w], edges[w + 1])``: the sum, in
+        ascending term order, of each term's largest block max over its
+        blocks meeting the window — metadata only. A block max bounds
+        every posting score of its block bit for bit (``idf * max
+        tf_norm``, the scorer's own product), and float addition in a fixed
+        order is monotone in its addends (missing terms add nothing), so no
+        live doc in a window scores above the window's bound."""
+        r = self.r
+        n_win = edges.size - 1
+        j0, j1 = r._boff[tids], r._boff[tids + 1]
+        blk = _gather_ranges(j0, j1)
+        first = np.clip(np.searchsorted(edges, r._b_base[blk], "right") - 1, 0, n_win - 1)
+        last = np.clip(np.searchsorted(edges, r._b_last[blk], "right") - 1, 0, n_win - 1)
+        reps = last - first + 1
+        rows = np.repeat(np.repeat(np.arange(tids.size), j1 - j0), reps)
+        per_term = np.zeros((tids.size, n_win))
+        np.maximum.at(per_term, (rows, _gather_ranges(first, last + 1)),
+                      np.repeat(r._b_max[blk], reps))
+        # a running sum down the rows adds in term order, like the scorer
+        return np.add.accumulate(per_term, axis=0, out=per_term)[-1]
 
     # ---------------------------------------------------------- champions
-    def _champion_floor(
-        self, cursors: list["_Cursor"], k: int, allowed: np.ndarray | None
-    ) -> float:
-        """Initial BMW threshold from champion lists — pure metadata work.
+    def _champion_floor(self, tids: np.ndarray, k: int) -> float:
+        """θ's starting value from the champion lists of the terms ``tids``
+        (ascending term order) — metadata only.
 
-        Accumulates, per champion doc, the exact per-term contributions
-        (``idf * stored tf_norm``) over the query terms. Each accumulated
-        value is a LOWER bound of the doc's true total (missing terms only
-        add), so the k-th largest over ≥ k distinct docs lower-bounds the
-        final k-th best score. Returns 0.0 when no valid floor exists
-        (fewer than k candidates, or an exact filter active — filtered docs
-        can't evidence the final top-k).
-        """
-        if allowed is not None:
-            return 0.0
+        Sums, per live champion doc, the exact per-term contributions
+        (``idf * stored tf_norm``) in term order. Each sum is a LOWER bound
+        of the doc's true score: it adds a subset of the scorer's addends
+        in the SAME relative order, and inserting the missing non-negative
+        addends is monotone in float64 (a reordered subset could exceed the
+        full sum by an ulp and over-prune a tied winner). So the k-th
+        largest sum over ≥ k distinct live docs lower-bounds the final k-th
+        best score; 0.0 (no floor) with fewer candidates. Valid only with no
+        filter: a doc that ``allowed``, ``forbidden`` or a ``search_after``
+        cursor removes cannot evidence the final top-k, so :meth:`_taat`
+        calls it only without one."""
         r = self.r
-        parts_d, parts_s = [], []
-        # NOTE: cursors arrive in sorted term order (tokenize_query yields
-        # sorted unique terms). The subset sum must accumulate in the SAME
-        # relative order as the scorer's full sum — only then is inserting
-        # the missing non-negative addends monotone in float64, making acc a
-        # true lower bound (a reordered subset can exceed the ordered full
-        # sum by an ulp and over-prune a tied winner).
-        for c in cursors:
-            tid = r._lookup(c.term)
-            j0, j1 = int(r._c_off[tid]), int(r._c_off[tid + 1])
-            parts_d.append(r._c_docs[j0:j1])
-            parts_s.append(c.idf * r._c_tfn[j0:j1])
-        cand = np.unique(np.concatenate(parts_d))
-        dm = r.deleted_mask(cand)
+        c0, c1 = r._c_off[tids], r._c_off[tids + 1]
+        cj = _gather_ranges(c0, c1)
+        docs = r._c_docs[cj]
+        impact = np.repeat(r._idf[tids], c1 - c0) * r._c_tfn[cj]
+        dm = r.deleted_mask(docs)
         if dm is not None:
             # deleted champions cannot evidence the floor (their bound would
             # inflate θ above the true k-th LIVE score and over-prune)
-            cand = cand[~dm]
+            docs, impact = docs[~dm], impact[~dm]
+        cand, acc = _group_docs(docs, impact)
         if cand.size < k:
             return 0.0
-        acc = np.zeros(cand.size, np.float64)
-        if dm is None:
-            for d, s in zip(parts_d, parts_s):
-                acc[np.searchsorted(cand, d)] += s
-        else:
-            for d, s in zip(parts_d, parts_s):
-                pos = np.searchsorted(cand, d)
-                ok = pos < cand.size
-                ok[ok] = cand[pos[ok]] == d[ok]
-                acc[pos[ok]] += s[ok]
         return float(np.partition(acc, cand.size - k)[cand.size - k])
-
-    # ------------------------------------------------------------------ bmw
-    def _bmw(self, terms: list[str], k: int, allowed: np.ndarray | None) -> list[tuple[int, float]]:
-        """Block-max WAND (Ding & Suel 2011), range-vectorized.
-
-        Classic WAND pivoting on global term upper bounds selects the next
-        candidate doc; block-max metadata then prunes (or scores) a whole
-        doc-id RANGE at a time — the range ending at the earliest current
-        block boundary — so scoring inside a surviving range is numpy over
-        whole block slices instead of per-posting Python. Pruning decisions
-        use only upper bounds, so results are exactly the TAAT ranking
-        (bit-equal scores, same (score desc, doc_id asc) tie-break).
-        """
-        r = self.r
-        cursors = []
-        for t in terms:
-            tid = r._lookup(t)
-            if tid is not None:
-                c = _Cursor(r, t, tid, r.idf(t))
-                if not c.exhausted:
-                    cursors.append(c)
-        if not cursors:
-            return []
-        heap: list[tuple[float, int]] = []  # (score, -doc_id) min-heap of k best
-        floor = self._champion_floor(cursors, k, allowed) if self.use_champions else 0.0
-        tie_safe = floor > 0.0  # out-of-order threshold ⇒ >= / < comparisons
-
-        while True:
-            live = [c for c in cursors if not c.exhausted]
-            if not live:
-                break
-            live.sort(key=lambda c: c.doc)
-            th = heap[0][0] if len(heap) >= k else -1.0
-            if th < floor:
-                th = floor
-            # pivot: first prefix whose global-UB sum exceeds threshold
-            ub_sum = 0.0
-            pivot_idx = -1
-            for i, c in enumerate(live):
-                ub_sum += c.ub
-                if ub_sum > th or (tie_safe and ub_sum == th):
-                    pivot_idx = i
-                    break
-            if pivot_idx < 0:
-                break  # no remaining doc can beat the threshold
-            pivot_doc = live[pivot_idx].doc
-            if live[0].doc < pivot_doc:
-                for c in live[:pivot_idx]:
-                    c.next_geq(pivot_doc)  # block-level skip
-                continue
-            # every live cursor is at doc >= pivot_doc; process a doc-id
-            # RANGE ending at the earliest cursor's span bound (~SPAN blocks)
-            # so pruning checks and scoring amortize over whole block spans
-            # before the heap fills no range can be pruned, so take bigger
-            # strides; once a real threshold exists, narrow for pruning
-            span = _SPAN_BLOCKS if th > 0.0 else 4 * _SPAN_BLOCKS
-            range_end = min(c.bound(span) for c in live)
-            involved = [c for c in live if c.doc <= range_end]
-            bm_sum = sum(c.span_max(range_end) for c in involved)
-            if bm_sum < th or (not tie_safe and bm_sum == th):
-                for c in involved:
-                    c.next_geq(range_end + 1)
-                continue
-            # score the whole range vectorized, in sorted term order
-            parts = []
-            for c in sorted(involved, key=lambda c: c.term):
-                d, f = c.range_take(range_end)
-                if d.size:
-                    parts.append((c.idf, d, f))
-            if parts:
-                uniq = np.unique(np.concatenate([d for _, d, _ in parts]))
-                acc = np.zeros(uniq.size, np.float64)
-                for idf, d, f in parts:
-                    sc = bm25_term_scores(f, r.doclens(d), idf, r.k1, r.b, r.avgdl)
-                    acc[np.searchsorted(uniq, d)] += sc
-                if allowed is not None:
-                    m = np.isin(uniq, allowed)
-                    uniq, acc = uniq[m], acc[m]
-                dm = r.deleted_mask(uniq)
-                if dm is not None:
-                    # span decodes are raw; deleted docs must never enter the
-                    # heap (a dead doc in the heap inflates θ and can prune a
-                    # live doc that belongs in the final top-k)
-                    uniq, acc = uniq[~dm], acc[~dm]
-                if uniq.size:
-                    # docs below the current threshold can never enter the
-                    # final top-k (when heap < k, ≥ k docs scoring ≥ floor
-                    # are guaranteed to exist and will be scored) — ties kept
-                    thresh = heap[0][0] if len(heap) >= k else floor
-                    if thresh > 0.0:
-                        keep = acc >= thresh
-                        uniq, acc = uniq[keep], acc[keep]
-                    for d, s in zip(uniq.tolist(), acc.tolist()):
-                        item = (s, -d)
-                        if len(heap) < k:
-                            heapq.heappush(heap, item)
-                        elif item > heap[0]:
-                            heapq.heapreplace(heap, item)
-            for c in involved:
-                c.next_geq(range_end + 1)
-        out = sorted(heap, key=lambda s: (-s[0], -s[1]))
-        return [(-d, s) for s, d in out]
 
 
 def fetch_docs(
@@ -2240,7 +2059,8 @@ def best_fields_search(
         allowed = s._exact_candidates(exact)
         if not terms:
             continue
-        uniq, acc = s._score_map(s.r.term_ids(terms), allowed)
+        tids = s.r.term_ids(terms)
+        uniq, acc = s._score_map(tids, *s.r.postings_many(tids), allowed)
         if uniq.size:
             maps.append((uniq, acc))
     if not maps:
@@ -2273,8 +2093,8 @@ def run_query(searchers: list["Searcher"], mode: str, query: str,
     """The one query-mode dispatch behind the CLI, :class:`QueryScorer` and
     the serving pool. ``searchers[0]`` serves every mode; ``best_fields``
     dis-maxes over all of them (one per field index). ``params`` pass
-    through unchanged to the :class:`Searcher` method (``algorithm``,
-    ``max_expansions``, ``max_edits``, ``slop``/``ordered``, ``after``,
+    through unchanged to the :class:`Searcher` method (``max_expansions``,
+    ``max_edits``, ``slop``/``ordered``, ``after``,
     ``tie_breaker``, ``facet_field``). Ranked modes return ``[(doc_id,
     value)]``; ``count`` an int; ``facet_counts`` ``[(value, n_docs)]``."""
     if mode == "best_fields":
@@ -2300,7 +2120,7 @@ class QueryScorer:
     """
 
     def __init__(self, index_dir: str | None = None, k: int = 10,
-                 algorithm: str | None = None, index_ref=None, result_cache: int = 0,
+                 index_ref=None, result_cache: int = 0,
                  mode: str = "bm25", slop: int = 0, ordered: bool = True):
         if index_ref is not None:
             import ray
@@ -2311,12 +2131,10 @@ class QueryScorer:
         self.searcher = Searcher(reader)
         self.k = k
         # every ranked run_query mode is batchable; per-row override via a
-        # "mode" column. bm25 uses ``algorithm`` (None: the planner of
-        # Searcher.search); near uses ``slop`` and ``ordered`` (ordered vs
+        # "mode" column. near uses ``slop`` and ``ordered`` (ordered vs
         # window slop).
         self.mode = mode
-        self.params = {"bm25": {"algorithm": algorithm},
-                       "near": {"slop": int(slop), "ordered": bool(ordered)}}
+        self.params = {"near": {"slop": int(slop), "ordered": bool(ordered)}}
         # optional per-actor query-result LRU (the reference's Elasticsearch
         # enables its request cache by default; this is the engine analog —
         # OFF by default so benchmark headlines stay uncached/comparable)

@@ -82,3 +82,30 @@ def durable_writes(monkeypatch):
     dw = DurableWrites(os.replace)
     monkeypatch.setattr(os, "replace", dw.replace)
     return dw
+
+
+def _window_bounds_cover_scores(searcher, queries) -> None:
+    """For each query, split its live postings' doc-id span into 3 and 8
+    equal windows as the windowed scorer does: every window bound is ≥ the
+    exact score of each live doc inside the window."""
+    import numpy as np
+
+    r = searcher.r
+    for q in queries:
+        tids = r.term_ids(r.tokenizer.tokenize_query(q)[0])
+        postings = r.postings_many(tids)
+        docs = postings[0]
+        if docs.size < 8:
+            continue
+        uniq, acc = searcher._score_map(tids, *postings, None)
+        lo, hi = int(docs.min()), int(docs.max()) + 1
+        for n_win in (3, 8):
+            edges = lo + (hi - lo) * np.arange(n_win + 1) // n_win
+            bounds = searcher._window_bounds(tids, edges)
+            inside = bounds[np.searchsorted(edges, uniq, "right") - 1]
+            assert (acc <= inside).all(), (q, n_win)
+
+
+@pytest.fixture(scope="session")
+def window_bounds_cover_scores():
+    return _window_bounds_cover_scores

@@ -2,7 +2,7 @@
 
 Contract: per doc, score = max over fields of that field's BM25 (each field
 its OWN postings/df/length norms), + tie_breaker * (sum - max); ranked
-(score desc, doc_id asc). With one searcher it must collapse to plain TAAT.
+(score desc, doc_id asc). With one searcher it must collapse to plain bm25 search.
 """
 
 import shutil
@@ -33,7 +33,7 @@ def two_fields(sf_unit):
 
 
 def _full_map(s, q):
-    return dict(s.search(q, k=100_000, algorithm="taat"))
+    return dict(s.search(q, k=100_000))
 
 
 def test_best_fields_is_per_doc_max(two_fields):
@@ -59,9 +59,7 @@ def test_best_fields_is_per_doc_max(two_fields):
 def test_single_field_collapses_to_taat(two_fields):
     sa, _ = two_fields
     q = "config merge"
-    assert best_fields_search([sa], q, k=10) == sa.search(
-        q, k=10, algorithm="taat"
-    )
+    assert best_fields_search([sa], q, k=10) == sa.search(q, k=10)
 
 
 def test_tie_breaker_adds_scaled_others(two_fields):

@@ -2,13 +2,14 @@
 
 An index built with ``IndexConfig.champion_m > 0`` stores, per term, the
 doc_ids of its top-m postings by impact. The searcher uses them to seed
-block-max WAND's top-k threshold with exactly-scored candidates before
-traversal. The contract: results are BIT-IDENTICAL to the unseeded engine
-(and to TAAT) for every query/k — champions only change how much work
-pruning saves, never the ranking.
+the windowed scorer's top-k threshold with exactly-scored candidates before
+any window is scored. The contract: results are BIT-IDENTICAL to the
+unseeded engine for every query/k — champions only change how many
+postings window skipping saves, never the ranking.
 """
 
 import shutil
+from unittest import mock
 
 import numpy as np
 import pyarrow.parquet as pq
@@ -16,6 +17,7 @@ import pytest
 
 from nmr_fair_dos_ray.pipelines.index_build import IndexConfig, build_index
 from nmr_fair_dos_ray.search.bm25 import bm25_tf_norm
+from nmr_fair_dos_ray.search import engine
 from nmr_fair_dos_ray.search.engine import IndexReader, Searcher
 
 BASE = dict(
@@ -89,18 +91,21 @@ def test_champions_are_top_m_by_impact(champ_indexes):
 
 def test_bit_identical_results(champ_indexes):
     r_off, r_on, r_salt, fx = champ_indexes
-    s_off = Searcher(r_off)
-    s_on = Searcher(r_on)
-    s_on_forced_off = Searcher(r_on, use_champions=False)
-    s_salt = Searcher(r_salt)
-    assert s_on.use_champions and not s_on_forced_off.use_champions
+    s_off, s_on, s_salt = Searcher(r_off), Searcher(r_on), Searcher(r_salt)
     for q in _queries(fx):
         for k in (1, 3, 10, 50):
-            base = s_off.search(q, k=k, algorithm="bmw")
-            assert s_off.search(q, k=k, algorithm="taat") == base
-            assert s_on.search(q, k=k, algorithm="bmw") == base, (q, k)
-            assert s_on_forced_off.search(q, k=k, algorithm="bmw") == base, (q, k)
-            assert s_salt.search(q, k=k, algorithm="bmw") == base, (q, k)
+            base = s_off.search(q, k=k)
+            assert s_on.search(q, k=k) == base, (q, k)
+            # 16 live postings per window: the hot queries split into many,
+            # and the champion floor can skip windows before any is scored
+            with mock.patch.object(engine, "WINDOW_POSTINGS", 16):
+                scored = r_off.postings_scored
+                assert s_off.search(q, k=k) == base, (q, k)
+                scored_off = r_off.postings_scored - scored
+                scored = r_on.postings_scored
+                assert s_on.search(q, k=k) == base, (q, k)
+                assert r_on.postings_scored - scored <= scored_off, (q, k)
+                assert s_salt.search(q, k=k) == base, (q, k)
 
 
 def test_df_min_cutoff(champ_indexes, sf_unit):
@@ -152,3 +157,34 @@ def test_seed_survives_resume(champ_indexes, sf_unit):
     assert r2.has_champions
     assert set(r2.terms) == terms_before
     assert [Searcher(r2).search(q, k=10) for q in queries] == before
+
+
+def test_floor_only_without_filters(sf_unit, tmp_path):
+    """The champion floor lower-bounds the k-th best score over ALL live
+    docs; a ``-term`` exclusion or a ``search_after`` cursor can drop the
+    champions it is made of, and the filtered k-th score lies below it. So
+    windowed scoring under either filter must still equal the one-pass
+    ranking filtered — it would skip windows holding the filtered winners
+    if the floor seeded θ there. Small blocks give the windows distinct
+    bounds; a hot term plus a mid-frequency one at small k puts filtered
+    winners in windows bounded below the floor."""
+    idx = str(tmp_path / "idx")
+    build_index(sf_unit["corpus"], idx, IndexConfig(
+        champion_m=M, champion_df_min=1, block_size=16, **BASE))
+    r = IndexReader(idx)
+    s = Searcher(r)
+    head = sorted((t for t in r.terms if ":" not in t),
+                  key=lambda t: (-r.terms[t]["df"], t))
+    for q in [f"{a} {b}" for a in head[:4] for b in head[20:60:5]]:
+        full = s.search(q, k=r.n_docs)
+        lang = next(t for t in r.terms_with_prefix("lang:")
+                    if full[0][0] in set(r.postings(t)[0].tolist()))
+        dead = set(r.postings(lang)[0].tolist())
+        for k in (1, 2, 5):
+            after = (full[k - 1][1], full[k - 1][0])
+            page2 = full[k:2 * k]
+            kept = [h for h in full if h[0] not in dead][:k]
+            with mock.patch.object(engine, "WINDOW_POSTINGS", 16):
+                assert s.search_after(q, k=k, after=after) == page2, (q, k)
+                assert s.search_query(f"{q} -{lang}", k=k) == kept, (q, k)
+                assert s.search(q, k=k) == full[:k], (q, k)

@@ -83,7 +83,7 @@ def test_search_modes_match_library(cli_index, capsys):
 def test_pooled_serving_bit_equal_both_layouts(cli_index, capsys):
     """Every pool-served mode must match local serving exactly (wildcard was
     the last mode to gain pool routing); the doc-partitioned pool is the one
-    layout, and pooled parameters such as --algorithm pass through."""
+    layout, and pooled parameters such as --max-edits pass through."""
     for mode, q in (("bm25", "getUserName merge"), ("wildcard", "get*"),
                     ("regex", "get.*"), ("query", "merge user*")):
         local = _run(capsys, "search", "--index", cli_index,
@@ -93,15 +93,17 @@ def test_pooled_serving_bit_equal_both_layouts(cli_index, capsys):
         assert pooled["hits"] == local["hits"], mode
         assert pooled["pool"] == 2 and pooled["sharding"] == "doc"
     local = _run(capsys, "search", "--index", cli_index, "--query",
-                 "getUserName merge", "-k", "5", "--algorithm", "taat")
+                 "getUsrNme merge", "--mode", "fuzzy", "-k", "5",
+                 "--max-edits", "2")
     pooled = _run(capsys, "search", "--index", cli_index, "--query",
-                  "getUserName merge", "-k", "5", "--algorithm", "taat",
-                  "--pool", "2")
+                  "getUsrNme merge", "--mode", "fuzzy", "-k", "5",
+                  "--max-edits", "2", "--pool", "2")
     assert pooled["hits"] == local["hits"]
-    with pytest.raises(SystemExit) as exc:  # argparse: unknown option
-        main(["search", "--index", cli_index, "--query", "merge",
-              "--pool", "2", "--sharding", "term"])
-    assert exc.value.code == 2
+    for gone in (["--sharding", "term"], ["--algorithm", "taat"]):
+        with pytest.raises(SystemExit) as exc:  # argparse: unknown option
+            main(["search", "--index", cli_index, "--query", "merge",
+                  "--pool", "2"] + gone)
+        assert exc.value.code == 2, gone
 
 
 def test_fetch_attaches_stored_columns(cli_index, capsys):

@@ -6,12 +6,14 @@ disjoint doc ranges (partitioned posting bytes, not replicas)."""
 import shutil
 from unittest import mock
 
+import numpy as np
 import pyarrow.parquet as pq
 import pytest
 import ray
 from hypothesis import given, settings, strategies as st
 
 from nmr_fair_dos_ray.pipelines.index_build import IndexConfig, build_index
+from nmr_fair_dos_ray.search import engine
 from nmr_fair_dos_ray.search.distributed import DocShardedSearcher
 from nmr_fair_dos_ray.search.engine import IndexReader, Searcher
 
@@ -93,7 +95,7 @@ def test_search_after_pages_identical(doc_sharded):
     q = queries[0]
     p1 = pool.search_after(q, k=7)
     p2 = pool.search_after(q, k=7, after=(p1[-1][1], p1[-1][0]))
-    assert p1 + p2 == local.search(q, k=14, algorithm="taat")
+    assert p1 + p2 == local.search(q, k=14)
 
 
 def test_doc_ranges_partition_the_corpus(doc_sharded):
@@ -113,8 +115,7 @@ def test_doc_ranges_partition_the_corpus(doc_sharded):
     assert lo0 == int(r._doc_ids_sorted[0])
     assert hi_last == int(r._doc_ids_sorted[-1]) + 1
     # per-actor result containment on a match-everything-ish query
-    futs = [a.run.remote("bm25", "def return config user", 10_000,
-                         {"algorithm": "taat"})
+    futs = [a.run.remote("bm25", "def return config user", 10_000, {})
             for a in pool.actors]
     for (lo, hi), hits in zip(pool.ranges, ray.get(futs)):
         assert all(lo <= d < hi for d, _ in hits), (lo, hi)
@@ -122,7 +123,7 @@ def test_doc_ranges_partition_the_corpus(doc_sharded):
     local = Searcher(r)
     got = sorted(d for hits in ray.get(futs) for d, _ in hits)
     want = sorted(d for d, _ in local.search("def return config user",
-                                             k=10_000, algorithm="taat"))
+                                             k=10_000))
     assert got == want
 
 
@@ -187,23 +188,27 @@ def test_positions_unavailable_raises(sf_unit):
         pool.shutdown()
 
 
-def test_cursor_masked_cache_exhaustion_regression(doc_sharded):
-    """BMW over a doc-range reader whose postings LRU holds MASKED lists:
-    next_geq targets past the masked end (but inside the raw doc_last
-    metadata) must exhaust the cursor, not index past the array. Found by
-    the sharding bench at 50k docs; also reachable with tombstones."""
+def test_windows_in_doc_range_slices_score_like_the_full_reader(doc_sharded):
+    """Each pool actor's doc-range reader, its postings LRU holding MASKED
+    lists (boundary-block postings outside the range), scores in windows
+    — 16 live postings each — exactly the full reader's ranking restricted
+    to its range, at P=2 and P=4. Found by the sharding bench at 50k docs
+    as an out-of-bounds read past a masked list; also reachable with
+    tombstones."""
     pools, sf = doc_sharded
-    lo, hi = pools[2].ranges[0]
-    r = IndexReader.from_state(IndexReader.build_state(IDX, doc_range=(lo, hi)))
-    s = Searcher(r)
     local = Searcher(IndexReader(IDX))
     queries = [row["query"] for row in pq.read_table(sf["queries"]).to_pylist()]
-    for q in queries:
-        s.search_and(q, k=10)  # warm the masked postings cache via TAAT
-        got = s.search(q, k=10, algorithm="bmw")
-        full = local.search(q, k=100_000, algorithm="taat")
-        want = [(d, sc) for d, sc in full if lo <= d < hi][:10]
-        assert got == want, q
+    full = {q: local.search(q, k=100_000) for q in queries}
+    for p in (2, 4):
+        for lo, hi in pools[p].ranges:
+            s = Searcher(IndexReader.from_state(
+                IndexReader.build_state(IDX, doc_range=(lo, hi))))
+            for q in queries:
+                s.search_and(q, k=10)  # warm the masked postings cache
+                want = [(d, sc) for d, sc in full[q] if lo <= d < hi][:10]
+                assert s.search(q, k=10) == want, (p, lo, q)
+                with mock.patch.object(engine, "WINDOW_POSTINGS", 16):
+                    assert s.search(q, k=10) == want, (p, lo, q)
 
 
 def test_doc_sharded_best_fields_identical_to_local(sf_unit):
@@ -237,8 +242,6 @@ def test_blockless_terms_in_slices_score_like_the_full_reader(doc_sharded):
     no block in range: the batched decode reads them as empty, and each
     slice's match map is the full reader's restricted to its range, bit
     for bit, at P=2 and P=4 — so the pool equals local serving."""
-    import numpy as np
-
     pools, _ = doc_sharded
     full = Searcher(IndexReader(IDX))
     fr = full.r
@@ -256,10 +259,10 @@ def test_blockless_terms_in_slices_score_like_the_full_reader(doc_sharded):
             for name, tids in exps.items():
                 nb = sl.r._boff[tids + 1] - sl.r._boff[tids]
                 blockless += int((nb == 0).sum())
-                _, _, counts = sl.r.postings_many(tids)
-                assert not counts[nb == 0].any(), (p, lo, name)
-                d, sc = sl._score_map(tids, None)
-                fd, fsc = full._score_map(tids, None)
+                postings = sl.r.postings_many(tids)
+                assert not postings[2][nb == 0].any(), (p, lo, name)
+                d, sc = sl._score_map(tids, *postings, None)
+                fd, fsc = full._score_map(tids, *fr.postings_many(tids), None)
                 keep = (fd >= lo) & (fd < hi)
                 assert np.array_equal(d, fd[keep]), (p, lo, name)
                 assert np.array_equal(sc, fsc[keep]), (p, lo, name)
@@ -270,10 +273,11 @@ def test_blockless_terms_in_slices_score_like_the_full_reader(doc_sharded):
             full.search_regex("[a-z].*", k=10)
         for q in ("+re* merge", "merge -re*", "retrn~2 user~"):
             assert pool.search_query(q, k=10) == full.search_query(q, k=10), (p, q)
-        for algo in ("taat", "bmw", None):
-            for q in ("def return self config", "user name merge"):
-                assert pool.search(q, k=10, algorithm=algo) == \
-                    full.search(q, k=10, algorithm=algo), (p, q, algo)
+        for q in ("def return self config", "user name merge"):
+            want = full.search(q, k=10)
+            assert pool.search(q, k=10) == want, (p, q)
+            with mock.patch.object(engine, "WINDOW_POSTINGS", 16):
+                assert full.search(q, k=10) == want, (p, q)
 
 
 @pytest.fixture(scope="module")
@@ -294,37 +298,46 @@ def lifecycle_searchers(doc_sharded, tmp_path_factory):
     return out
 
 
-def test_planner_picks_by_posting_blocks(lifecycle_searchers):
-    """Without ``algorithm`` the planner runs TAAT up to TAAT_MAX_BLOCKS
-    posting blocks (metadata only) and BMW above it."""
-    from nmr_fair_dos_ray.search import engine
-
-    s = lifecycle_searchers["fresh"]
-    r = s.r
-    vocab = [t for t in r.terms if ":" not in t]
-    head = sorted(vocab, key=lambda t: -r.terms[t]["df"])[:8]
-    big, small = " ".join(head), head[0]
-    nb = {q: r.n_blocks(r.term_ids(r.tokenizer.tokenize_query(q)[0]))
-          for q in (big, small)}
-    assert nb[small] < nb[big]
+def _scored_windows(s: Searcher, q: str, k: int) -> tuple[list, int, int]:
+    """(top-k, windows scored, postings scored) of ``s.search(q, k)``."""
     calls = []
+    score_map = Searcher._score_map
 
-    def spy(name, fn):
-        def run(self, *a, **kw):
-            calls.append(name)
-            return fn(self, *a, **kw)
-        return run
+    def spy(self, *a, **kw):
+        calls.append(1)
+        return score_map(self, *a, **kw)
 
-    with mock.patch.object(Searcher, "_bmw", spy("bmw", Searcher._bmw)), \
-            mock.patch.object(Searcher, "_taat", spy("taat", Searcher._taat)):
-        for cut, want in ((nb[small], ["bmw", "taat"]),
-                          (nb[big], ["taat", "taat"]),
-                          (nb[small] - 1, ["bmw", "bmw"])):
-            calls.clear()
-            with mock.patch.object(engine, "TAAT_MAX_BLOCKS", cut):
-                s.search(big, k=10)
-                s.search(small, k=10)
-            assert calls == want, cut
+    before = s.r.postings_scored
+    with mock.patch.object(Searcher, "_score_map", spy):
+        got = s.search(q, k=k)
+    return got, len(calls), s.r.postings_scored - before
+
+
+def test_windows_follow_live_postings_and_skip_by_bound(lifecycle_searchers):
+    """A query splits into ceil(live postings / WINDOW_POSTINGS) windows —
+    live postings, so tombstoned ones do not count — and every window is
+    scored when k reaches every doc. A one-doc term plus two hot ones at
+    k=1 skips windows by their block-max bound: fewer postings scored than
+    its terms hold, the same top-k as one pass."""
+    r0 = lifecycle_searchers["fresh"].r
+    vocab = [t for t in r0.terms if ":" not in t]
+    head = sorted(vocab, key=lambda t: (-r0.terms[t]["df"], t))
+    rare = next(t for t in vocab if r0.terms[t]["df"] == 1 and all(
+        s.r.postings(t)[0].size for s in lifecycle_searchers.values()))
+    for name, s in lifecycle_searchers.items():
+        r = s.r
+        for q in (" ".join(head[:8]), f"{rare} {head[0]} {head[1]}"):
+            live = r.postings_many(r.term_ids(r.tokenizer.tokenize_query(q)[0]))[0]
+            want, want_all = s.search(q, k=1), s.search(q, k=r.n_docs)
+            n_win = -(-live.size // 64)
+            assert n_win >= 3, (name, q)
+            with mock.patch.object(engine, "WINDOW_POSTINGS", 64):
+                got, windows, _ = _scored_windows(s, q, k=r.n_docs)
+                assert (got, windows) == (want_all, n_win), (name, q)
+                got, windows, scored = _scored_windows(s, q, k=1)
+            assert got == want, (name, q)
+            if q.startswith(rare):
+                assert windows < n_win and scored < live.size, (name, q)
 
 
 @pytest.fixture(scope="module")
@@ -332,30 +345,41 @@ def query_vocab(lifecycle_searchers):
     r = lifecycle_searchers["fresh"].r
     vocab = sorted((t for t in r.terms if ":" not in t),
                    key=lambda t: (-r.terms[t]["df"], t))
-    # the Zipf head (many blocks: BMW) and a spread of rarer terms
+    # the Zipf head (many windows at small budgets) and a spread of rarer
+    # terms
     return vocab[:40] + vocab[40::max(1, len(vocab) // 200)], \
         r.terms_with_prefix("lang:")
 
 
 @given(data=st.data())
 @settings(max_examples=60, deadline=None)
-def test_planner_default_equals_explicit_algorithms(lifecycle_searchers,
-                                                    query_vocab, data):
-    """The planner's default is rank-identical with bit-equal scores to
-    both explicit algorithms, on fresh, tombstoned and compacted indexes."""
-    from nmr_fair_dos_ray.search import engine
-
+def test_window_budget_keeps_topk(lifecycle_searchers, query_vocab, data):
+    """Every window budget gives the one-pass top-k with bit-equal scores —
+    with and without a ``lang:`` filter, on fresh, tombstoned and compacted
+    indexes, for search_after pages and the prefix, regex and query-string
+    modes."""
     vocab, langs = query_vocab
     terms = data.draw(st.lists(st.sampled_from(vocab), min_size=1, max_size=8))
     if data.draw(st.booleans()):
         terms.append(data.draw(st.sampled_from(langs)))
     k = data.draw(st.integers(min_value=1, max_value=30))
-    # the fixture's queries hold far fewer blocks than the default cut, so
-    # small cuts make the planner take BMW too
-    cut = data.draw(st.sampled_from([0, 20, 60, engine.TAAT_MAX_BLOCKS]))
+    # the fixture's queries hold far fewer postings than the default
+    # budget, so small budgets split them into many windows
+    budget = data.draw(st.sampled_from([1, 7, 16, 64, 256]))
     q = " ".join(terms)
+    word = terms[0]
     for name, s in lifecycle_searchers.items():
-        with mock.patch.object(engine, "TAAT_MAX_BLOCKS", cut):
-            got = s.search(q, k=k)
-        assert got == s.search(q, k=k, algorithm="taat"), (name, q, k, cut)
-        assert got == s.search(q, k=k, algorithm="bmw"), (name, q, k, cut)
+        page1 = s.search(q, k=k)
+        after = (page1[-1][1], page1[-1][0]) if page1 else None
+        calls = {
+            "bm25": lambda: s.search(q, k=k),
+            "after": lambda: s.search_after(q, k=k, after=after),
+            "prefix": lambda: s.search_prefix(word[:2], k=k),
+            "regex": lambda: s.search_regex(f"{word[:1]}.*", k=k),
+            "query": lambda: s.search_query(f"{q} -{word}", k=k),
+            "query+": lambda: s.search_query(f"{word[:2]}* +{word}", k=k),
+        }
+        for mode, call in calls.items():
+            want = call()
+            with mock.patch.object(engine, "WINDOW_POSTINGS", budget):
+                assert call() == want, (name, mode, q, k, budget)

@@ -6,6 +6,8 @@ full corpus (reference analog: ES incremental add, SURVEY.md §2.2 K1)."""
 import os
 import shutil
 
+from unittest import mock
+
 import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
@@ -13,6 +15,7 @@ import pytest
 
 from nmr_fair_dos_ray.fixtures import make_corpus
 from nmr_fair_dos_ray.pipelines.index_build import IndexConfig, build_index
+from nmr_fair_dos_ray.search import engine
 from nmr_fair_dos_ray.search.engine import IndexReader, Searcher
 
 BASE = "/tmp/nmr_fair_dos_ray/test_incr"
@@ -73,11 +76,13 @@ def test_append_reuses_invert_and_matches_full_build(corpus_dirs):
         np.testing.assert_array_equal(tg, tf)
     sg, sf_ = Searcher(rg), Searcher(rf)
     for q in ("def return config", "getUserName merge", "data_loader"):
-        assert sg.search(q, k=10) == sf_.search(q, k=10)
-        # post-append BMW top-k must be bit-identical to the from-scratch
-        # build's (block bounds are rebuilt in the merge, not carried over)
-        assert sg.search(q, k=10, algorithm="bmw") \
-            == sf_.search(q, k=10, algorithm="bmw")
+        want = sf_.search(q, k=10)
+        assert sg.search(q, k=10) == want
+        # post-append windowed top-k must be bit-identical to the
+        # from-scratch build's (block bounds are rebuilt in the merge, not
+        # carried over)
+        with mock.patch.object(engine, "WINDOW_POSTINGS", 16):
+            assert sg.search(q, k=10) == want
 
 
 def test_mid_order_insert_degrades_to_full_rebuild(corpus_dirs):
@@ -179,9 +184,10 @@ def _assert_same_index(d, ref):
             np.testing.assert_array_equal(x, y)
     sa, sb = Searcher(ra), Searcher(rb)
     for q in QS:
-        for algo in ("bmw", "taat"):
-            assert sa.search(q, k=10, algorithm=algo) == \
-                sb.search(q, k=10, algorithm=algo), (q, algo)
+        want = sb.search(q, k=10)
+        assert sa.search(q, k=10) == want, q
+        with mock.patch.object(engine, "WINDOW_POSTINGS", 16):
+            assert sa.search(q, k=10) == want, q
     assert sa.search_phrase("def return", k=20) == sb.search_phrase("def return", k=20)
     for scratch in ("runs", "hotparts"):
         assert not os.path.exists(os.path.join(d, scratch))

@@ -1,7 +1,7 @@
 """End-to-end conformance: Ray-built index vs pure-Python oracle (SURVEY.md §5).
 
 - rank-identical top-k with bit-equal float64 scores for every fixture query,
-  with both TAAT and block-max WAND;
+  scored in one pass and in block-max-pruned doc windows;
 - full index inventory equality (terms, df, postings, doclens);
 - per-row sha256 invariant through ingest (BASELINE.json input_hint);
 - partitioning-independence: different shard counts ⇒ identical results;
@@ -12,12 +12,15 @@ import json
 import os
 import shutil
 
+from unittest import mock
+
 import numpy as np
 import pyarrow.parquet as pq
 import pytest
 
 from nmr_fair_dos_ray.oracle import oracle_from_parquet
 from nmr_fair_dos_ray.pipelines.index_build import IndexConfig, build_index
+from nmr_fair_dos_ray.search import engine
 from nmr_fair_dos_ray.search.engine import IndexReader, QueryScorer, Searcher
 
 CFG = IndexConfig(
@@ -77,15 +80,18 @@ def test_sha256_invariant(built_index, oracle):
     assert got == oracle.sha256
 
 
-@pytest.mark.parametrize("algorithm", ["taat", "bmw"])
-def test_topk_rank_identical(built_index, oracle, algorithm):
+@pytest.mark.parametrize("budget", [engine.WINDOW_POSTINGS, 16], ids=["taat", "windows"])
+def test_topk_rank_identical(built_index, oracle, budget):
+    """The fixture queries fit one window at the default budget; at 16
+    live postings per window the larger ones split into many."""
     idx_dir, _, fx = built_index
     s = Searcher(IndexReader(idx_dir))
     queries = pq.read_table(fx["queries"]).to_pylist()
     assert queries, "query fixture empty"
     for q in queries:
         expect = oracle.search(q["query"], k=q["k"])
-        got = s.search(q["query"], k=q["k"], algorithm=algorithm)
+        with mock.patch.object(engine, "WINDOW_POSTINGS", budget):
+            got = s.search(q["query"], k=q["k"])
         assert got == expect, (q, got[:3], expect[:3])
 
 

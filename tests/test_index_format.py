@@ -15,6 +15,8 @@ import json
 import os
 import shutil
 
+from unittest import mock
+
 import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
@@ -28,6 +30,7 @@ from nmr_fair_dos_ray.pipelines.lifecycle import (
     compact_index, decode_shard_table, delete_docs, refresh_stats,
 )
 from nmr_fair_dos_ray.search.bm25 import bm25_idf, bm25_term_scores
+from nmr_fair_dos_ray.search import engine
 from nmr_fair_dos_ray.search.engine import (
     SHARD_COLUMNS, IndexReader, Searcher, fetch_docs,
 )
@@ -186,10 +189,7 @@ def test_default_encoded_index_reads_bit_equal(built, tmp_path):
     assert "DELTA_BYTE_ARRAY" not in _column_encodings(_files(idx, "shards")[0])["term"]
     _assert_same_state(IndexReader.build_state(idx), IndexReader.build_state(built))
     sa, sb = Searcher(IndexReader(idx)), Searcher(IndexReader(built))
-    for q in QUERIES:
-        for algo in ("bmw", "taat"):
-            assert sa.search(q, k=10, algorithm=algo) == \
-                sb.search(q, k=10, algorithm=algo), (q, algo)
+    _assert_same_topk(sa, sb)
     assert fetch_docs(idx, list(range(20)), ["repo", "path"]).equals(
         fetch_docs(built, list(range(20)), ["repo", "path"]))
 
@@ -216,12 +216,14 @@ def test_crash_leftover_in_docs_is_not_read(built, tmp_path, durable_writes):
 
 # ------------------------------------------------ half-refreshed index
 @pytest.mark.parametrize("champion_m", [0, 4])
-def test_bounds_valid_on_half_refreshed_index(sf_unit, tmp_path, champion_m):
+def test_bounds_valid_on_half_refreshed_index(sf_unit, tmp_path, champion_m,
+                                              window_bounds_cover_scores):
     """A refresh cut short leaves some shard files with the new df while
     the manifest keeps the old n_docs/avgdl. Deleting the longest docs
     shrinks avgdl (so the refresh scales nothing): block bounds in the
-    reader's view must still cover every posting score, and BMW must equal
-    TAAT."""
+    reader's view must still cover every posting score and every window
+    bound every doc score in it, and windowed scoring must equal one
+    pass."""
     src = str(tmp_path / "corpus.parquet")
     pq.write_table(_corpus(sf_unit), src)
     cfg = IndexConfig(
@@ -248,9 +250,8 @@ def test_bounds_valid_on_half_refreshed_index(sf_unit, tmp_path, champion_m):
     _bounds_cover_scores(r)
     s = Searcher(r)
     queries = [q["query"] for q in pq.read_table(sf_unit["queries"]).to_pylist()]
-    for q in queries + QUERIES:
-        assert s.search(q, k=10, algorithm="bmw") == \
-            s.search(q, k=10, algorithm="taat"), q
+    window_bounds_cover_scores(s, queries + QUERIES)
+    _assert_same_topk(s, s, queries + QUERIES)
 
 
 # ------------------------------------------------ older-format indexes
@@ -297,16 +298,23 @@ def _to_old_format(idx: str) -> None:
         pq.write_table(pq.read_table(path), path, compression="snappy")
 
 
+def _assert_same_topk(sa: Searcher, sb: Searcher, queries=QUERIES) -> None:
+    """``sa`` at the default window budget and at 16 live postings per
+    window (the hot queries split into many) gives ``sb``'s default top-k."""
+    for q in queries:
+        want = sb.search(q, k=10)
+        assert sa.search(q, k=10) == want, q
+        with mock.patch.object(engine, "WINDOW_POSTINGS", 16):
+            assert sa.search(q, k=10) == want, q
+
+
 def _assert_same_results(a: str, b: str, pool: bool = False) -> None:
     ra, rb = IndexReader(a), IndexReader(b)
     assert (ra.n_docs, ra.avgdl) == (rb.n_docs, rb.avgdl)
     assert list(ra.terms) == list(rb.terms)
     np.testing.assert_array_equal(ra._b_max, rb._b_max)
     sa, sb = Searcher(ra), Searcher(rb)
-    for q in QUERIES:
-        for algo in ("bmw", "taat"):
-            assert sa.search(q, k=10, algorithm=algo) == \
-                sb.search(q, k=10, algorithm=algo), (q, algo)
+    _assert_same_topk(sa, sb)
     for phrase in ("user name", "def return"):
         assert sa.search_phrase(phrase, k=20) == sb.search_phrase(phrase, k=20)
     if pool:
@@ -323,8 +331,8 @@ def _assert_same_results(a: str, b: str, pool: bool = False) -> None:
 
 
 def test_old_format_index_reads_and_evolves_like_new(sf_unit, tmp_path):
-    """An index in the older layout gives bit-equal results (bmw, taat,
-    phrase, the pool at P=2), and delete → compact → refresh_stats → append
+    """An index in the older layout gives bit-equal results (one pass and
+    windows, phrase, the pool at P=2), and delete → compact → refresh_stats → append
     of one more file leaves it equal to the same sequence on the new
     layout."""
     src, new = _build(sf_unit, tmp_path)

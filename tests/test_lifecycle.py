@@ -3,13 +3,15 @@
 Contract (pipelines/lifecycle.py, frozen-stats semantics): deleting docs
 removes them from EVERY search path immediately while every live doc keeps a
 bit-identical score — so the expected post-delete top-k is literally the
-pre-delete full ranking with deleted docs filtered out. BMW (with and
-without champion floors), TAAT, conjunctive, phrase, facet, exact and the
-sharded serving pool must all agree on that.
+pre-delete full ranking with deleted docs filtered out. The ranked scorer
+in one pass and in many doc windows (with and without champion floors),
+conjunctive, phrase, facet, exact and the sharded serving pool must all
+agree on that.
 """
 
 import os
 import shutil
+from unittest import mock
 
 import numpy as np
 import pyarrow as pa
@@ -21,6 +23,7 @@ from nmr_fair_dos_ray.pipelines.lifecycle import (
     clear_tombstones, delete_by_term, delete_docs, read_tombstones,
     upsert_latest,
 )
+from nmr_fair_dos_ray.search import engine
 from nmr_fair_dos_ray.search.engine import IndexReader, Searcher
 
 BASE = dict(
@@ -43,7 +46,15 @@ def idx(sf_unit):
 
 
 def _full_ranking(searcher: Searcher, q: str):
-    return searcher.search(q, k=10_000, algorithm="taat")
+    return searcher.search(q, k=10_000)
+
+
+def _budgets(search):
+    """``search()`` at the default window budget, then at 16 live postings
+    per window (the QUERIES split into many windows)."""
+    default = search()
+    with mock.patch.object(engine, "WINDOW_POSTINGS", 16):
+        return default, search()
 
 
 def test_delete_filters_every_path_bit_identically(idx):
@@ -59,10 +70,7 @@ def test_delete_filters_every_path_bit_identically(idx):
     dead = set(victims)
     for q in QUERIES:
         expect = [(d, sc) for d, sc in full[q] if d not in dead][:10]
-        got_bmw = s.search(q, k=10, algorithm="bmw")
-        got_taat = s.search(q, k=10, algorithm="taat")
-        assert got_bmw == expect, q
-        assert got_taat == expect, q
+        assert _budgets(lambda: s.search(q, k=10)) == (expect, expect), q
     # conjunctive: scores bit-equal to disjunctive for surviving docs
     for q in QUERIES:
         for d, sc in s.search_and(q, k=10):
@@ -208,8 +216,7 @@ def test_compaction_is_bit_identical_and_shrinks(idx):
     r_del = IndexReader(DIR)
     s_del = Searcher(r_del)
     before = {
-        "bmw": {q: s_del.search(q, k=10, algorithm="bmw") for q in QUERIES},
-        "taat": {q: s_del.search(q, k=10, algorithm="taat") for q in QUERIES},
+        "bm25": {q: _budgets(lambda: s_del.search(q, k=10)) for q in QUERIES},
         "and": {q: s_del.search_and(q, k=10) for q in QUERIES},
         "phrase": s_del.search_phrase("def return", k=50),
         "facets": s_del.facet_counts(QUERIES[0], "lang"),
@@ -227,8 +234,8 @@ def test_compaction_is_bit_identical_and_shrinks(idx):
     assert r_c._tomb is None
     s_c = Searcher(r_c)
     for q in QUERIES:
-        assert s_c.search(q, k=10, algorithm="bmw") == before["bmw"][q], q
-        assert s_c.search(q, k=10, algorithm="taat") == before["taat"][q], q
+        assert _budgets(lambda: s_c.search(q, k=10)) == before["bm25"][q], q
+        assert before["bm25"][q][0] == before["bm25"][q][1], q
         assert s_c.search_and(q, k=10) == before["and"][q], q
     assert s_c.search_phrase("def return", k=50) == before["phrase"]
     assert s_c.facet_counts(QUERIES[0], "lang") == before["facets"]
@@ -332,7 +339,7 @@ def test_refresh_stats_equals_rebuild(sf_unit, tmp_path):
     """delete → compact → refresh_stats must produce rankings bit-equal to
     a FULL REBUILD over the surviving corpus (same postings + doclens +
     unfrozen stats ⇒ same per-doc scores; block maxes only prune), across
-    BMW, TAAT, phrase and facets — the opt-in alternative to frozen stats
+    one-pass and windowed scoring, phrase and facets — the opt-in alternative to frozen stats
     (VERDICT round-4 item 7)."""
     from nmr_fair_dos_ray.pipelines.lifecycle import compact_index, refresh_stats
 
@@ -371,10 +378,9 @@ def test_refresh_stats_equals_rebuild(sf_unit, tmp_path):
     assert ra.avgdl == pytest.approx(rb.avgdl, abs=0, rel=0)
     sa, sb = Searcher(ra), Searcher(rb)
     for q in QUERIES:
-        assert sa.search(q, k=20, algorithm="bmw") == \
-            sb.search(q, k=20, algorithm="bmw"), q
-        assert sa.search(q, k=20, algorithm="taat") == \
-            sb.search(q, k=20, algorithm="taat"), q
+        got = _budgets(lambda: sa.search(q, k=20))
+        assert got == _budgets(lambda: sb.search(q, k=20)), q
+        assert got[0] == got[1], q
         assert sa.facet_counts(q, "lang") == sb.facet_counts(q, "lang"), q
     assert sa.search_phrase("user name", k=20) == \
         sb.search_phrase("user name", k=20)
@@ -436,27 +442,23 @@ def test_append_after_compaction_equals_fresh_build(sf_unit, tmp_path, refresh):
     sa, sb = Searcher(ra), Searcher(rb)
     dead = set(victims)
     for q in QUERIES:
-        for algo in ("bmw", "taat"):
-            got = sa.search(q, k=20, algorithm=algo)
-            assert got == sb.search(q, k=20, algorithm=algo), (q, algo)
-            hits = [d for d, _ in got]
-            assert not dead & set(hits), (q, algo)
-            assert fetch_docs(idx_a, hits, ["repo"])["doc_id"].to_pylist() \
-                == sorted(hits)
+        got = _budgets(lambda: sa.search(q, k=20))
+        assert got == _budgets(lambda: sb.search(q, k=20)), q
+        assert got[0] == got[1], q
+        hits = [d for d, _ in got[0]]
+        assert not dead & set(hits), q
+        assert fetch_docs(idx_a, hits, ["repo"])["doc_id"].to_pylist() \
+            == sorted(hits)
         assert sa.facet_counts(q, "lang") == sb.facet_counts(q, "lang"), q
     assert sa.search_phrase("user name", k=20) == \
         sb.search_phrase("user name", k=20)
 
 
-def test_cursor_next_geq_on_masked_cached_postings(sf_unit, tmp_path):
-    """Regression (found by the doc-range work; reachable with tombstones
-    alone): a cursor whose resident postings are the MASKED cached list can
-    be asked to advance to a target that lies between the masked end and
-    the raw doc_last metadata — it must exhaust instead of pointing past
-    the array. Driven at the cursor level for determinism, plus an
-    end-to-end BMW-equals-TAAT sweep over tail-tombstoned indexes."""
-    from nmr_fair_dos_ray.search.engine import _Cursor
-
+def test_masked_hot_term_scores_like_the_oracle(sf_unit, tmp_path):
+    """A hot term whose cached postings are MASKED (tail docs tombstoned,
+    so the raw doc_last metadata runs past the live list), then fully
+    masked: one-pass and windowed scoring both equal the pre-delete full
+    ranking with the dead docs filtered out."""
     idx = str(tmp_path / "idx_tailtomb")
     build_index(sf_unit["corpus"], idx, IndexConfig(
         token_cols=("path", "lang"), field_cols=("repo",),
@@ -465,33 +467,23 @@ def test_cursor_next_geq_on_masked_cached_postings(sf_unit, tmp_path):
     ))
     r = IndexReader(idx)
     terms = [t for t in r.terms if ":" not in t]
-    hot = max(terms, key=lambda t: r.postings(t)[0].size)
+    hot, other = sorted(terms, key=lambda t: -r.postings(t)[0].size)[:2]
     docs_hot = r.postings(hot)[0]
     assert docs_hot.size > 16, "need a multi-block term"
-    victims = docs_hot[-8:].tolist()
-    delete_docs(idx, victims)
-    r2 = IndexReader(idx)
-    r2.postings(hot)  # warm the MASKED cache (cursor will adopt it)
-    tid = r2._lookup(hot)
-    c = _Cursor(r2, hot, tid, r2.idf(hot))
-    raw_last = int(r2._b_last[int(r2._boff[tid + 1]) - 1])
-    masked_last = int(r2.postings(hot)[0][-1])
-    assert masked_last < raw_last  # the hazardous zone exists
-    c.next_geq(masked_last + 1)   # target inside the zone
-    assert c.exhausted            # old code: pi == len(docs) -> IndexError
-    # fully-masked cached list starts exhausted
-    all_docs = r.postings(hot)[0].tolist()
-    delete_docs(idx, all_docs)
-    r3 = IndexReader(idx)
-    r3.postings(hot)
-    c3 = _Cursor(r3, hot, r3._lookup(hot), r3.idf(hot))
-    assert c3.exhausted
-    # end-to-end: BMW == TAAT on the tombstoned index (r2 snapshot)
-    s2 = Searcher(r2)
-    other = sorted(terms, key=lambda t: -r.postings(t)[0].size)[1]
-    q = f"{hot} {other}"
-    assert s2.search(q, k=5, algorithm="bmw") == \
-        s2.search(q, k=5, algorithm="taat")
+    queries = [hot, f"{hot} {other}"]
+    full = {q: _full_ranking(Searcher(r), q) for q in queries}
+    for victims in (docs_hot[-8:].tolist(), docs_hot.tolist()):
+        delete_docs(idx, victims)
+        r2 = IndexReader(idx)
+        r2.postings(hot)  # warm the MASKED cache
+        raw_last = int(r2._b_last[int(r2._boff[r2._lookup(hot) + 1]) - 1])
+        masked = r2.postings(hot)[0]
+        assert masked.size == 0 or masked[-1] < raw_last
+        dead = set(read_tombstones(idx).tolist())
+        s2 = Searcher(r2)
+        for q in queries:
+            want = [(d, sc) for d, sc in full[q] if d not in dead][:5]
+            assert _budgets(lambda: s2.search(q, k=5)) == (want, want), q
 
 
 def test_doclen_lut_regimes(idx):

@@ -141,7 +141,7 @@ def test_and_scores_bit_equal_to_taat(pos_index):
     queries += ["def return self", "lang:python def class", "zz nope", ""]
     for q in queries:
         hits = s.search_and(q, k=25)
-        full = dict(s.search(q, k=r.n_docs, algorithm="taat"))
+        full = dict(s.search(q, k=r.n_docs))
         terms, exact = r.tokenizer.tokenize_query(q)
         for d, sc in hits:
             assert full[d] == sc, (q, d)  # bit-equal, not approx

@@ -151,7 +151,7 @@ def test_search_after_pagination(idx):
     """Cursor paging walks the full ranking without gaps or repeats."""
     s = Searcher(idx)
     q = "def return user"
-    full = s.search(q, k=10_000, algorithm="taat")
+    full = s.search(q, k=10_000)
     pages, cursor = [], None
     while True:
         page = s.search_after(q, k=7, after=cursor)

@@ -125,7 +125,7 @@ def test_query_scorer_modes(scorer_index):
         batch_format="pyarrow", concurrency=1,
     ).to_pandas().sort_values(["query_id", "rank"])
     want = {
-        0: local.search("def return self", k=5, algorithm="bmw"),
+        0: local.search("def return self", k=5),
         1: local.search_and("def config", k=5),
         2: local.search_phrase("user name", k=5),
         3: local.search_near("user name", k=5, slop=2),

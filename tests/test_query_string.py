@@ -32,7 +32,7 @@ def s(sf_unit):
 
 
 def _full(s, q):
-    return s.search(q, k=10_000, algorithm="taat")
+    return s.search(q, k=10_000)
 
 
 def test_bare_terms_equal_search(s):
@@ -222,7 +222,7 @@ def test_all_search_surfaces_total_over_random_text(s):
     for q in queries:
         for fn in (
             lambda q: s.search(q, k=3),
-            lambda q: s.search(q, k=3, algorithm="taat"),
+            lambda q: s.search(q, k=3),
             lambda q: s.search_and(q, k=3),
             lambda q: s.search_phrase(q, k=3),
             lambda q: s.search_near(q, k=3, slop=2),

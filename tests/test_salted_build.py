@@ -9,12 +9,15 @@ pass). Also validates every stored block max_score is a true upper bound.
 
 import shutil
 
+from unittest import mock
+
 import numpy as np
 import pyarrow.parquet as pq
 import pytest
 
 from nmr_fair_dos_ray.pipelines.index_build import IndexConfig, build_index
 from nmr_fair_dos_ray.search.bm25 import bm25_term_scores
+from nmr_fair_dos_ray.search import engine
 from nmr_fair_dos_ray.search.engine import IndexReader, Searcher
 
 BASE = dict(
@@ -73,15 +76,23 @@ def test_block_max_is_true_upper_bound(both_indexes):
             assert scores.max() <= blk["max_score"], term
 
 
+def test_window_bounds_are_true_upper_bounds(both_indexes, window_bounds_cover_scores):
+    plain, salted, _, sf = both_indexes
+    queries = [r["query"] for r in pq.read_table(sf["queries"]).to_pylist()]
+    queries += ["def return self config", "user name merge get"]
+    for r in (plain, salted):
+        window_bounds_cover_scores(Searcher(r), queries)
+
+
 def test_identical_topk(both_indexes):
     plain, salted, _, sf = both_indexes
     queries = [r["query"] for r in pq.read_table(sf["queries"]).to_pylist()]
     sp, ss = Searcher(plain), Searcher(salted)
     for q in queries:
-        for algo in ("taat", "bmw"):
-            hp = sp.search(q, k=10, algorithm=algo)
-            hs = ss.search(q, k=10, algorithm=algo)
-            assert hp == hs, (q, algo)
+        want = sp.search(q, k=10)
+        assert ss.search(q, k=10) == want, q
+        with mock.patch.object(engine, "WINDOW_POSTINGS", 16):
+            assert ss.search(q, k=10) == want, q
 
 
 def test_salted_resume_identical(both_indexes, sf_unit, durable_writes):

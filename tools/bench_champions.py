@@ -1,4 +1,4 @@
-"""Champion-seeding benchmark: BMW qps/latency with and without champion
+"""Champion-seeding benchmark: search qps/latency with and without champion
 lists (IndexConfig.champion_m), same corpus, bit-identical results asserted.
 
 Builds two indexes over the sf-bench fixture corpus (150k docs), runs the
@@ -68,7 +68,7 @@ def main() -> dict:
         t_build = time.time() - t0
         out["n_docs"] = man["stats"]["n_docs"]
         s = Searcher(IndexReader(idx))
-        assert s.use_champions == (m > 0)
+        assert s.r.has_champions == (m > 0)
         searchers[name] = s
         index_ref = ray.put(s.r.to_state())
         pool_kwargs = dict(
@@ -96,28 +96,28 @@ def main() -> dict:
     # ---- sequential latency: INTERLEAVED min-of-rounds (this VM has 2-4x
     # run-to-run noise; alternating configs within one process and keeping
     # the best round per config cancels it), plus a DETERMINISTIC work
-    # metric: posting blocks decoded per query set (reader counter).
+    # metric: postings scored per query set (reader counter).
     for s in searchers.values():  # warm decode LRU + page cache, untimed
         for q in lat_queries[:50]:
-            s.search(q, k=10, algorithm="bmw")
+            s.search(q, k=10)
     walls: dict[str, list] = {"off": [], "on": []}
     lats: dict[str, list] = {"off": [], "on": []}
     for rnd in range(5):
         for name, s in searchers.items():
-            s.r.blocks_decoded = 0
+            s.r.postings_scored = 0
             per_q = []
             t0 = time.time()
             res = []
             for q in lat_queries:
                 q0 = time.time()
-                res.append(s.search(q, k=10, algorithm="bmw"))
+                res.append(s.search(q, k=10))
                 per_q.append((time.time() - q0) * 1000)
             walls[name].append(time.time() - t0)
             if min(walls[name]) == walls[name][-1]:
                 lats[name] = per_q
             if rnd == 0:
                 results[name] = res
-                out[name]["blocks_decoded"] = int(s.r.blocks_decoded)
+                out[name]["postings_scored"] = int(s.r.postings_scored)
     for name in ("off", "on"):
         arr = np.array(lats[name])
         out[name]["p50_ms"] = round(float(np.percentile(arr, 50)), 2)
@@ -132,8 +132,8 @@ def main() -> dict:
     out["seq_speedup"] = round(
         out["off"]["seq_wall_best_sec"] / out["on"]["seq_wall_best_sec"], 3
     )
-    out["decode_ratio"] = round(
-        out["off"]["blocks_decoded"] / max(1, out["on"]["blocks_decoded"]), 3
+    out["scored_ratio"] = round(
+        out["off"]["postings_scored"] / max(1, out["on"]["postings_scored"]), 3
     )
     ray.shutdown()
     return out
