@@ -30,10 +30,10 @@ Multi-term queries score through one batched path: term expansions
 ``Searcher._score_map`` scores them in one ``bm25_term_scores`` call and
 sums per doc with one ``np.bincount`` — the cost of a bm25 query with as
 many postings, not a fixed cost per expanded term. ``Searcher._taat`` is the
-one ranked-disjunction scorer: a query holding more than
-:data:`WINDOW_POSTINGS` live postings is scored in equal doc-id windows,
-visited in descending block-max bound, and the windows whose bound falls
-below the k-th best score so far are skipped unscored.
+one ranked-disjunction scorer: a query of at most ``LRU_TERMS`` terms
+holding more than :data:`WINDOW_POSTINGS` live postings is scored in equal
+doc-id windows, visited in descending block-max bound, and the windows
+whose bound falls below the k-th best score so far are skipped unscored.
 
 Positional queries (phrase, near and the query string's quoted atoms) have
 one match routine, ``Searcher._near_match``: an exact phrase is ordered
@@ -1420,10 +1420,11 @@ def _slice_state_to_doc_range(st: dict, lo: int, hi: int) -> dict:
 
 #: live postings per scoring window of :meth:`Searcher._taat`: a query
 #: holding more splits its doc-id span into ceil(postings / WINDOW_POSTINGS)
-#: equal windows, which bounds the scorer's transient memory by the window
-#: (about 60 B per posting scored at once) and lets block-max bounds skip
-#: whole windows. Queries up to this size — every query of the perfbench
-#: corpus — are one window, scored exactly as without windows.
+#: equal windows (a wide expansion excepted, see there), which bounds the
+#: scorer's transient memory by the window (about 60 B per posting scored at
+#: once) and lets block-max bounds skip whole windows. Queries up to this
+#: size — every query of the perfbench corpus — are one window, scored
+#: exactly as without windows.
 WINDOW_POSTINGS = 1 << 15
 
 
@@ -1875,33 +1876,32 @@ class Searcher:
         terms or an expansion), filtered as in :meth:`_score_map`.
 
         Up to :data:`WINDOW_POSTINGS` live postings are scored in one
-        :meth:`_score_map` pass. More split the postings' doc-id span into
-        ceil(postings / WINDOW_POSTINGS) equal windows, each scored the
-        same way, visited in descending bound (:meth:`_window_bounds`)
-        and ended at the first bound strictly below θ: the k-th best score
-        so far, seeded from the champion floor when no filter is set. Every
-        doc is scored whole inside its one window, so each score is the
-        same term-ordered sum as the oracle's, whatever the window count.
+        :meth:`_score_map` pass. More, over at most ``LRU_TERMS`` terms,
+        split the postings' doc-id span into ceil(postings /
+        WINDOW_POSTINGS) equal windows, each scored the same way, visited
+        in descending bound (:meth:`_window_bounds`) and ended at the first
+        bound strictly below θ: the k-th best score so far, seeded from the
+        champion floor when no filter is set. Every doc is scored whole
+        inside its one window, so each score is the same term-ordered sum as
+        the oracle's, whatever the window count. A wider expansion is one
+        pass: its batched decode already holds every posting, and slicing
+        every term per window made it slower for no smaller peak.
         """
         r = self.r
         parts, counts = r._postings_parts(tids)
-        n_win = -(-sum(d.size for d, _ in parts) // WINDOW_POSTINGS)
+        n_win = 1
+        if tids.size <= r.LRU_TERMS:  # one part per term, not a batched decode
+            n_win = -(-int(counts.sum()) // WINDOW_POSTINGS)
         if n_win > 1:
-            lo = min(int(d.min()) for d, _ in parts if d.size)
-            hi = max(int(d.max()) for d, _ in parts if d.size) + 1
+            lo = min(int(d[0]) for d, _ in parts if d.size)
+            hi = max(int(d[-1]) for d, _ in parts if d.size) + 1
             n_win = min(n_win, hi - lo)
         if n_win <= 1:
             top = _top_k(*self._score_map(tids, *_concat_postings(parts, counts),
                                           allowed, forbidden, after), k)
             return [(int(d), float(sc)) for d, sc in zip(*top)]
         edges = lo + (hi - lo) * np.arange(n_win + 1) // n_win
-        # a part holds one term's postings, or all terms' (a batched decode)
-        part_counts = np.split(counts, len(parts))
-        cuts = []  # per part: (terms, n_win + 1) posting offsets of the edges
-        for (d, _), c in zip(parts, part_counts):
-            base = np.arange(c.size) * hi  # the part's terms made one sorted key
-            key = d if c.size == 1 else d + np.repeat(base, c)
-            cuts.append(np.searchsorted(key, base[:, None] + edges))
+        cuts = np.array([np.searchsorted(d, edges) for d, _ in parts])
         bounds = self._window_bounds(tids, edges)
         theta = (self._champion_floor(tids, k) if r.has_champions and allowed is None
                  and forbidden is None and after is None else 0.0)
@@ -1909,14 +1909,10 @@ class Searcher:
         for w in np.argsort(-bounds, kind="stable").tolist():
             if bounds[w] < theta:
                 break  # this and every later window holds no doc that can rank
-            window, n_in = [], []
-            for (d, f), c, cut in zip(parts, part_counts, cuts):
-                a, b = cut[:, w], cut[:, w + 1]
-                ix = slice(a[0], b[0]) if c.size == 1 else _gather_ranges(a, b)
-                window.append((d[ix], f[ix]))
-                n_in.append(b - a)
+            window = [(d[a:b], f[a:b]) for (d, f), a, b
+                      in zip(parts, cuts[:, w].tolist(), cuts[:, w + 1].tolist())]
             uniq, acc = self._score_map(
-                tids, *_concat_postings(window, np.concatenate(n_in)),
+                tids, *_concat_postings(window, cuts[:, w + 1] - cuts[:, w]),
                 allowed, forbidden, after)
             top = _top_k(np.concatenate([top[0], uniq]), np.concatenate([top[1], acc]), k)
             if top[0].size == k:

@@ -340,6 +340,40 @@ def test_windows_follow_live_postings_and_skip_by_bound(lifecycle_searchers):
                 assert windows < n_win and scored < live.size, (name, q)
 
 
+def test_wide_expansion_is_one_pass(lifecycle_searchers):
+    """An expansion of more terms than the postings LRU holds (one batched
+    decode) is scored in one pass whatever the window budget, so its work
+    stays O(postings) however many terms it holds; an expansion of fewer
+    terms splits into windows like a bm25 query. The top-k stays bit-equal
+    to the default budget's."""
+    score_map = Searcher._score_map
+    kinds = set()
+    for name, s in lifecycle_searchers.items():
+        r = s.r
+        cases = [(p, lambda p=p: s.search_prefix(p, k=10))
+                 for p in ("se", "m", "b", "conf", "get")]
+        cases += [(p, lambda p=p: s.search_regex(p, k=10))
+                  for p in (".{12,}", ".*_.*")]
+        for pat, call in cases:
+            want = call()
+            calls = []
+
+            def spy(self, *a, **kw):
+                calls.append(1)
+                return score_map(self, *a, **kw)
+
+            with mock.patch.object(engine, "WINDOW_POSTINGS", 1), \
+                    mock.patch.object(Searcher, "_score_map", spy):
+                assert call() == want, (name, pat)
+            n_terms = (r.expand_regex(pat) if "." in pat else r.expand_prefix(pat)).size
+            kinds.add(n_terms > r.LRU_TERMS)
+            if n_terms > r.LRU_TERMS:
+                assert len(calls) == 1, (name, pat)
+            else:
+                assert len(calls) >= 3, (name, pat, n_terms)
+    assert kinds == {True, False}
+
+
 @pytest.fixture(scope="module")
 def query_vocab(lifecycle_searchers):
     r = lifecycle_searchers["fresh"].r

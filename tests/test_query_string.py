@@ -222,7 +222,6 @@ def test_all_search_surfaces_total_over_random_text(s):
     for q in queries:
         for fn in (
             lambda q: s.search(q, k=3),
-            lambda q: s.search(q, k=3),
             lambda q: s.search_and(q, k=3),
             lambda q: s.search_phrase(q, k=3),
             lambda q: s.search_near(q, k=3, slop=2),
