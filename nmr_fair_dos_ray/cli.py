@@ -33,6 +33,13 @@ def _ensure_ray() -> None:
         ray.init(include_dashboard=False, logging_level="ERROR")
 
 
+def _k(s: str) -> int:
+    """``-k``: a result size of at least 1 (argparse exits 2 otherwise)."""
+    if int(s) < 1:
+        raise argparse.ArgumentTypeError("k must be >= 1")
+    return int(s)
+
+
 def _cols(s: str | None) -> tuple[str, ...]:
     return tuple(c for c in (s or "").split(",") if c)
 
@@ -208,7 +215,7 @@ def main(argv: list[str] | None = None) -> int:
                    help="index directory; repeat for best_fields mode "
                         "(one index per scored field)")
     s.add_argument("--query", required=True)
-    s.add_argument("-k", type=int, default=10)
+    s.add_argument("-k", type=_k, default=10)
     s.add_argument(
         "--mode",
         choices=("bm25", "and", "phrase", "near", "prefix", "regex",

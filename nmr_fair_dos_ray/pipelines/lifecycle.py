@@ -286,8 +286,9 @@ def decode_shard_table(t: pa.Table):
     per posting whether it carries a position list (field terms store
     none), and those lists' absolute positions concatenated — ``tf`` values
     per positional posting."""
-    from nmr_fair_dos_ray.codec import varint_decode
-    from nmr_fair_dos_ray.search.engine import _binary_views, decode_block_spans
+    from nmr_fair_dos_ray.search.engine import (
+        _binary_views, decode_block_spans, decode_positions,
+    )
 
     blocks = t["blocks"].combine_chunks()
     flat = blocks.flatten()
@@ -307,17 +308,7 @@ def decode_shard_table(t: pa.Table):
         return counts, docs, tfs, None
     p_offs, p_data = _binary_views(t["pos_stream"].combine_chunks())
     has_pos = np.repeat(np.diff(p_offs) > 0, counts)
-    ptfs = tfs[has_pos]
-    n_vals = int(ptfs.sum())
-    abs_pos = np.empty(0, np.int64)
-    if n_vals:
-        vals = varint_decode(
-            p_data[p_offs[0]:p_offs[t.num_rows]].tobytes(), n_vals
-        ).astype(np.int64)
-        # each posting's first value is absolute, the rest are gaps
-        starts = np.concatenate([[0], np.cumsum(ptfs)[:-1]])
-        c = np.cumsum(vals)
-        abs_pos = c - np.repeat(c[starts] - vals[starts], ptfs)
+    abs_pos = decode_positions(p_data[p_offs[0]:p_offs[t.num_rows]], tfs[has_pos])
     return counts, docs, tfs, (has_pos, abs_pos)
 
 

@@ -49,12 +49,10 @@ class DocShardActor:
                  field_dirs: list[str] | None = None):
         from nmr_fair_dos_ray.search.engine import IndexReader, Searcher
 
-        total = (IndexReader.POSITIONS_CACHE_BUDGET
-                 + IndexReader.P_ENDS_CACHE_BUDGET
-                 + IndexReader.P_KEYS_CACHE_BUDGET)
         # bound the per-node aggregate across pool_size actors AND the
         # 1 + len(field_dirs) readers each actor holds
-        budget = total // max(1, pool_size * (1 + len(field_dirs or [])))
+        budget = IndexReader.POSITIONS_CACHE_BUDGET // max(
+            1, pool_size * (1 + len(field_dirs or [])))
 
         def _load(d: str) -> Searcher:
             st = IndexReader.build_state(d, doc_range=(lo, hi))

@@ -37,12 +37,12 @@ whose bound falls below the k-th best score so far are skipped unscored.
 
 Positional queries (phrase, near and the query string's quoted atoms) have
 one match routine, ``Searcher._near_match``: an exact phrase is ordered
-proximity at slop 0. It builds per-term composite key arrays in one of two
-layouts — the reader's cached global ``doc * POS_KEY_STRIDE + pos`` keys
-when the candidate docs are not selective, keys over the candidates' ranks
-(:func:`near_intersect`) when they are — and hands them to
+proximity at slop 0. Its one operand is each term's cached global
+``doc * POS_KEY_STRIDE + pos`` keys (the reader's one positional cache),
+cut to the candidate docs when those are selective, and its one kernel is
 :func:`match_keys`, which holds the one ordered chain and the one unordered
-window.
+window. :func:`near_intersect` over rank keys serves only terms whose keys
+are missing or overflow the stride.
 
 Determinism: scores are float64; per-doc accumulation order is the
 lexicographic order of the unique query terms whatever the window count, so
@@ -193,17 +193,15 @@ class IndexReader:
     lexicographic permutation — no per-reader Python dict.
     """
 
-    #: byte budgets for the positional LRUs (per reader). Sized so a
-    #: realistic hot phrase vocabulary (~100 hot terms × a few MB of decoded
-    #: positions each) stays resident on a serving actor without competing
-    #: with the shard slice itself.
+    #: byte budget of the positional key cache (per reader). Sized so a
+    #: realistic hot phrase vocabulary (~100 hot terms × a few MB of keys
+    #: each) stays resident on a serving actor without competing with the
+    #: shard slice itself.
     POSITIONS_CACHE_BUDGET = 256 * 1024 * 1024
-    P_ENDS_CACHE_BUDGET = 64 * 1024 * 1024
-    P_KEYS_CACHE_BUDGET = 256 * 1024 * 1024
     #: global composite-key stride for cached phrase keys (doc*K + pos).
     #: Bounds any doc's token-stream positions: 4M positions per doc, and
     #: 10^12 docs × 2^22 still fits int64. Terms whose streams exceed it
-    #: fall back to the per-query candidate path (checked at build time).
+    #: fall back to :func:`near_intersect` over rank keys.
     POS_KEY_STRIDE = 1 << 22
     #: largest multi-term request :meth:`postings_many` serves through the
     #: per-term postings LRU (which holds 256 terms)
@@ -217,15 +215,9 @@ class IndexReader:
         cache_budget_bytes: int | None = None,
     ):
         if cache_budget_bytes is not None:
-            # scale the three positional-cache ceilings to a caller-chosen
-            # total (default 576 MB) — serving deployments with many actors
-            # per node bound the per-node aggregate via budget / pool_size
-            total = self.POSITIONS_CACHE_BUDGET + self.P_ENDS_CACHE_BUDGET \
-                + self.P_KEYS_CACHE_BUDGET
-            f = max(0.0, cache_budget_bytes / total)
-            self.POSITIONS_CACHE_BUDGET = int(self.POSITIONS_CACHE_BUDGET * f)
-            self.P_ENDS_CACHE_BUDGET = int(self.P_ENDS_CACHE_BUDGET * f)
-            self.P_KEYS_CACHE_BUDGET = int(self.P_KEYS_CACHE_BUDGET * f)
+            # serving deployments with many actors per node bound the
+            # per-node aggregate via budget / pool_size
+            self.POSITIONS_CACHE_BUDGET = max(0, int(cache_budget_bytes))
         if state is None:
             state = self.build_state(index_dir)
         self._state = state
@@ -390,26 +382,13 @@ class IndexReader:
                         "docs": _binary_views(self._b_docs),
                         "tfs": _binary_views(self._b_tfs)}
         self._postings_cache = _LRU(256)
-        # decoded-positions LRU, BYTE-budgeted (entry-count LRUs thrash as
-        # soon as the hot vocabulary exceeds the count — a 40-phrase working
-        # set touches ~80 terms — and every "warm" query re-decodes)
-        self._positions_cache = _LRU(self.POSITIONS_CACHE_BUDGET,
-                                     lambda v: sum(a.nbytes for a in v))
-        # derived positional skip index per term: byte END offset of every
-        # varint value in the term's positional stream (one vectorized
-        # high-bit scan) — lets a selective phrase decode ONLY candidate
-        # postings instead of the whole hot-term stream
-        self._p_ends_cache = _LRU(self.P_ENDS_CACHE_BUDGET, lambda v: v.nbytes)
         # cached (composite keys doc*POS_KEY_STRIDE + pos, max position) per
-        # term, or None — the reusable positional operand for hot terms: a
-        # warm phrase query is then ONE sorted merge per adjacent term, no
-        # per-query key rebuild (the dominant warm cost before this cache)
-        self._p_keys_cache = _LRU(self.P_KEYS_CACHE_BUDGET,
+        # term, or None — the one positional operand: a warm phrase query is
+        # one sorted merge per adjacent term, no per-query decode. BYTE-
+        # budgeted (a 40-phrase working set touches ~80 terms, so an
+        # entry-count LRU would thrash)
+        self._p_keys_cache = _LRU(self.POSITIONS_CACHE_BUDGET,
                                   lambda v: 0 if v is None else v[0].nbytes)
-        # positional touch counts: first touch seek-decodes (cold phrase
-        # stays cheap), repeat touches full-decode into the LRU so hot
-        # terms subset from cache instead of re-seeking every query
-        self._p_touch: dict[str, int] = {}
         self._scan_cache = _LRU(64)
         self._is_token: np.ndarray | None = None  # see _token_terms
         self.blocks_decoded = 0  # cumulative; see _decode_blocks
@@ -733,22 +712,14 @@ class IndexReader:
         return np.array([tid for _, tid in hits], np.int64)
 
     def positions(
-        self, term: str, candidates: np.ndarray | None = None
+        self, term: str
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
         """Decoded positional postings of ``term``:
         ``(doc_ids, list_offsets, positions_flat)`` where doc ``doc_ids[i]``'s
         positions are ``positions_flat[list_offsets[i]:list_offsets[i+1]]``
-        (ascending, 0-based in the doc's token stream).
-
-        ``candidates`` (sorted LIVE doc_ids, e.g. the intersection of the
-        phrase terms' masked posting lists) restricts the result — and,
-        when the candidate set is selective, the DECODE — to the candidate
-        postings: a derived skip index (byte end-offset of every varint
-        value in the term's stream, one vectorized high-bit scan, cached
-        per term) lets the decoder seek straight to each candidate
-        posting's byte span, so a hot term's stream is never wholesale
-        entropy-decoded for a selective phrase. Non-selective candidate
-        sets subset the (cached) full decode instead.
+        (ascending, 0-based in the doc's token stream), tombstoned docs
+        masked. A plain decode, not cached: the positional match reads the
+        cached keys of :meth:`position_keys_with_max`, built from this.
 
         Returns ``None`` when the index stores no positions, the term is
         absent, or the term is a synthetic exact-field term (those live
@@ -756,9 +727,6 @@ class IndexReader:
         """
         if self._p_offs is None:
             return None
-        hit = self._positions_cache.get(term)
-        if hit is not None:
-            return hit if candidates is None else _subset_positions(hit, candidates)
         tid = self._lookup(term)
         if tid is None:
             return None
@@ -771,51 +739,31 @@ class IndexReader:
             if docs.size:
                 return None  # field term: postings but no stream
             return docs, np.zeros(1, np.int64), np.empty(0, np.int64)
-        if candidates is not None:
-            touched = self._p_touch.get(term, 0)
-            if len(self._p_touch) > 65536:
-                self._p_touch.clear()
-            self._p_touch[term] = touched + 1
-            # first touch: seek-decode candidates only (a cold phrase never
-            # pays a hot term's full stream). Repeat touch: fall through to
-            # the full decode + LRU so subsequent queries subset from cache.
-            if touched == 0 and candidates.size * 4 < docs.size:
-                return self._positions_selective(term, docs, tfs, lo, hi, candidates)
-        vals = varint_decode(
-            self._p_data[lo:hi].tobytes(), int(tfs.sum())
-        ).astype(np.int64)
+        pos = decode_positions(self._p_data[lo:hi], tfs)
         offsets = np.concatenate([[0], np.cumsum(tfs)])
-        starts = offsets[:-1]
-        # segmented cumsum: each posting's first value is absolute, the rest
-        # are gaps — one global cumsum + per-segment correction
-        c = np.cumsum(vals)
-        adjust = c[starts] - vals[starts]
-        pos = c - np.repeat(adjust, tfs)
         dm = self.deleted_mask(docs)
         if dm is not None:
             keep = ~dm
             pos = pos[np.repeat(keep, tfs)]
             docs, tfs = docs[keep], tfs[keep]
             offsets = np.concatenate([[0], np.cumsum(tfs)])
-        out = (docs, offsets, pos)
-        self._positions_cache.put(term, out)
-        return out if candidates is None else _subset_positions(out, candidates)
+        return docs, offsets, pos
 
     def position_keys_with_max(
         self, term: str
     ) -> tuple[np.ndarray, int] | None:
         """Cached ``(keys, maxpos)``: the composite keys ``doc *
         POS_KEY_STRIDE + position`` over the term's FULL (tombstone-masked)
-        positional postings — strictly increasing int64, the reusable
-        operand of the positional match on non-selective candidates
-        (matched docs = ``keys // POS_KEY_STRIDE``) — and the largest
+        positional postings — strictly increasing int64, the one operand
+        of the positional match (matched docs = ``keys // POS_KEY_STRIDE``;
+        a selective match cuts them to its candidate docs) — and the largest
         position in any doc, which guards a slop window against cross-doc
         bleed (windows reach ``key ± (slop + 1)``; safe iff
         ``maxpos + slop + 2 <= POS_KEY_STRIDE``).
 
         Returns ``None`` when positions are unavailable for the term or a
         doc's positions exceed the stride (pathological token streams fall
-        back to the per-query candidate path)."""
+        back to :func:`near_intersect` over the decoded triples)."""
         km = self._p_keys_cache.get(term, _MISS)
         if km is not _MISS:
             return km
@@ -834,44 +782,6 @@ class IndexReader:
                 )
         self._p_keys_cache.put(term, km)
         return km
-
-    def _positions_selective(
-        self, term: str, docs: np.ndarray, tfs: np.ndarray,
-        lo: int, hi: int, candidates: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Seek-decode ONLY the candidate postings' positional values.
-
-        ``docs``/``tfs`` are the RAW (unmasked) postings — the stream's
-        per-posting value counts follow the physical layout. ``candidates``
-        must be sorted live doc_ids (already tombstone-masked), so the
-        result needs no delete mask. Cost: one cached high-bit scan of the
-        stream (the skip index) + a gather/decode proportional to the
-        CANDIDATES' values — not the term's df.
-        """
-        seg = self._p_data[lo:hi]
-        ends = self._p_ends_cache.get(term)
-        if ends is None:
-            # byte end-offset of every varint value (high bit clear = last
-            # byte of a value) — the derived skip structure
-            ends = np.flatnonzero((seg & 0x80) == 0).astype(np.int64)
-            self._p_ends_cache.put(term, ends)
-        idx, ok = sorted_lookup(candidates, docs)
-        sel = idx[ok]
-        if sel.size == 0:
-            return (np.empty(0, np.int64), np.zeros(1, np.int64),
-                    np.empty(0, np.int64))
-        vstart = np.concatenate([[0], np.cumsum(tfs)])
-        v0, v1 = vstart[sel], vstart[sel + 1]
-        bstart = np.where(v0 == 0, 0, ends[v0 - 1] + 1)
-        flat = _gather_ranges(bstart, ends[v1 - 1] + 1)
-        ctfs = tfs[sel]
-        vals = varint_decode(seg[flat], int(ctfs.sum())).view(np.int64)
-        offsets = np.concatenate([[0], np.cumsum(ctfs)])
-        starts = offsets[:-1]
-        c = np.cumsum(vals)
-        adjust = c[starts] - vals[starts]
-        pos = c - np.repeat(adjust, ctfs)
-        return docs[sel], offsets, pos
 
     @property
     def has_champions(self) -> bool:
@@ -901,8 +811,7 @@ def wildcard_to_regex(pattern: str) -> str:
 def sorted_lookup(a: np.ndarray, sorted_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """For each element of ``a``: its searchsorted position in sorted-unique
     ``sorted_b`` and whether it is actually present — the shared
-    sorted-membership primitive behind intersection, positional subsetting
-    and facet counting."""
+    sorted-membership primitive behind intersection and facet counting."""
     idx = np.searchsorted(sorted_b, a)
     ok = idx < sorted_b.size
     ok[ok] = sorted_b[idx[ok]] == a[ok]
@@ -935,6 +844,13 @@ def intersect_doc_sets(postings: dict[str, np.ndarray]) -> np.ndarray:
     return inter
 
 
+def check_k(k: int) -> None:
+    """The one guard on a requested result size: ``k < 1`` is a caller
+    error, raised before any work, never a silently short or empty page."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+
+
 def topk_counts(
     docs: np.ndarray, counts: np.ndarray, k: int
 ) -> list[tuple[int, int]]:
@@ -955,17 +871,11 @@ def run_length(sorted_vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return sorted_vals[starts], counts
 
 
-def _subset_positions(
-    triple: tuple[np.ndarray, np.ndarray, np.ndarray], candidates: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Restrict a decoded (docs, offsets, flat) positional triple to the
-    sorted ``candidates`` — pure gather, no re-decode (used when the full
-    triple is already in the per-reader LRU)."""
-    docs, offs, flat = triple
-    idx, ok = sorted_lookup(candidates, docs)
-    sel = idx[ok]
-    seg = np.concatenate([[0], np.cumsum(offs[sel + 1] - offs[sel])])
-    return docs[sel], seg, flat[_gather_ranges(offs[sel], offs[sel + 1])]
+def keys_in_docs(keys: np.ndarray, docs: np.ndarray, stride: int) -> np.ndarray:
+    """The composite keys ``doc * stride + pos`` (sorted) whose doc is in
+    sorted ``docs`` — one ``searchsorted`` pair and one gather."""
+    return keys[_gather_ranges(np.searchsorted(keys, docs * stride),
+                               np.searchsorted(keys, (docs + 1) * stride))]
 
 
 def match_keys(
@@ -1026,27 +936,24 @@ def near_intersect(
     (``term -> (doc_ids, list_offsets, positions_flat)``, as
     :meth:`IndexReader.positions` returns) → ``(sorted doc_ids, counts)``.
 
-    Keys are RANK-space: each doc of the candidate intersection is replaced
-    by its rank in it, so keys ``rank * K + pos`` fit int32 whenever
-    ``|inter| · K < 2^31`` (about 2× faster searchsorted and repeat); doc
-    ids (up to 10^12) never enter the key arithmetic, int64 is the guarded
-    fallback."""
+    Keys are RANK-space, ``rank * K + pos`` over the candidate
+    intersection, so doc ids (up to 10^12) never enter the key arithmetic
+    whatever the positions — the fallback for terms whose positions
+    overflow ``IndexReader.POS_KEY_STRIDE``."""
     uniq = list(dict.fromkeys(terms))
     inter = intersect_doc_sets({t: plists[t][0] for t in uniq})
     K = slop + 3 + max(
         int(plists[t][2].max()) if plists[t][2].size else 0 for t in uniq
     )
-    dt = np.int32 if inter.size * K < 2**31 - 2 else np.int64
-    ranks = np.arange(inter.size, dtype=dt)
+    ranks = np.arange(inter.size, dtype=np.int64)
     keys = {}
     for t in uniq:
         docs, offs, flat = plists[t]
         idx = np.searchsorted(docs, inter)
         lo, hi = offs[idx], offs[idx + 1]
-        keys[t] = (np.repeat(ranks, hi - lo) * dt(K)
-                   + flat[_gather_ranges(lo, hi)].astype(dt, copy=False))
-    ranks_m, counts = run_length(match_keys(terms, keys, slop, ordered) // dt(K))
-    return inter[ranks_m].astype(np.int64, copy=False), counts
+        keys[t] = np.repeat(ranks, hi - lo) * K + flat[_gather_ranges(lo, hi)]
+    ranks_m, counts = run_length(match_keys(terms, keys, slop, ordered) // K)
+    return inter[ranks_m], counts
 
 
 def parse_query_string(query: str) -> list[tuple[str, str, str]]:
@@ -1137,6 +1044,16 @@ def decode_block_spans(
     span_end = np.cumsum(nblk)
     cs = np.concatenate([[0], ends])
     return docs, tfs, cs[span_end] - cs[span_end - nblk]
+
+
+def decode_positions(data: np.ndarray, tfs: np.ndarray) -> np.ndarray:
+    """Absolute positions from a positional stream's varint bytes holding
+    ``tfs[i]`` values per posting: each posting's first value is absolute,
+    the rest are gaps — one global cumsum + per-posting correction."""
+    vals = varint_decode(data.tobytes(), int(tfs.sum())).astype(np.int64)
+    starts = np.cumsum(tfs) - tfs
+    c = np.cumsum(vals)
+    return c - np.repeat(c[starts] - vals[starts], tfs)
 
 
 def _gather_ranges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -1482,6 +1399,7 @@ class Searcher:
         earlier page would lift θ above the page's k-th score); page cost
         is one scoring pass (same as ES: search_after still scores the
         matches, it only skips the discarded-prefix materialization)."""
+        check_k(k)
         terms, exact = self.r.tokenizer.tokenize_query(query)
         allowed = self._exact_candidates(exact)
         if not terms:
@@ -1524,6 +1442,7 @@ class Searcher:
         shape the candidate set (required/phrase/field intersect, negations
         subtract); constraint-only queries return doc_id-ordered matches
         with score 0.0 (the exact-verification convention)."""
+        check_k(k)
         r = self.r
         score_set: set[str] = set()  # analyzed tokens of scored atoms
         expanded: list[np.ndarray] = []  # expansions of scored atoms
@@ -1596,6 +1515,7 @@ class Searcher:
         a query that spells the expanded terms out. Scale: expansion is one
         memoized vectorized dictionary scan; scoring cost is the expanded
         lists' postings (``max_expansions`` caps it, ES ``top_terms_N``)."""
+        check_k(k)
         tids = self.r.expand_prefix(prefix.strip().lower(), max_expansions)
         return self._taat(tids, k, None)
 
@@ -1611,6 +1531,7 @@ class Searcher:
         and SQL-expressible as ``regexp_matches(term, '^(...)$')`` over
         tokenized docs. ``max_expansions`` caps by (df desc, term asc),
         ES ``top_terms_N``."""
+        check_k(k)
         return self._taat(self.r.expand_regex(pattern, max_expansions), k, None)
 
     def search_wildcard(
@@ -1632,6 +1553,7 @@ class Searcher:
         the true distance), and the UNION of expansions scores as a
         disjunction in sorted term order — bit-equal to spelling the matched
         terms out, and SQL-expressible as ``levenshtein(term, q) <= e``."""
+        check_k(k)
         base, exact = self.r.tokenizer.tokenize_query(query)
         allowed = self._exact_candidates(exact)
         expanded = [self.r.expand_fuzzy(t, max_edits) for t in base]
@@ -1650,6 +1572,7 @@ class Searcher:
         are scored. Scores accumulate in sorted term order, so each returned
         score is bit-equal to :meth:`search`'s score for the same doc.
         """
+        check_k(k)
         r = self.r
         terms, exact = r.tokenizer.tokenize_query(query)
         allowed = self._exact_candidates(exact)
@@ -1690,24 +1613,8 @@ class Searcher:
         serving runs the whole match inside each range actor, like ranked
         search.
         """
+        check_k(k)
         return topk_counts(*self._near_match(phrase, 0), k)
-
-    def _candidate_plists(
-        self, uniq: list[str], inter: np.ndarray,
-        postings: dict[str, np.ndarray],
-    ) -> dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]] | None:
-        """Positional triples for :func:`near_intersect` — candidate-scoped
-        decode only when it actually prunes (for a non-selective hot bigram
-        the cached full triple is free and the kernel subsets by `inter`
-        itself). None when any term has no token stream."""
-        plists = {}
-        for t in uniq:
-            cand = inter if inter.size * 4 < postings[t].size else None
-            p = self.r.positions(t, candidates=cand)
-            if p is None:
-                return None  # field term: postings but no token stream
-            plists[t] = p
-        return plists
 
     # ------------------------------------------------------------ proximity
     def search_near(
@@ -1723,6 +1630,7 @@ class Searcher:
         anchor positions (:func:`match_keys`). Both ranked by (count desc,
         doc_id asc) and SQL-expressible as EXISTS-joined position
         inequalities (both-order joins for unordered)."""
+        check_k(k)
         return topk_counts(*self._near_match(phrase, slop, ordered), k)
 
     def _near_match(
@@ -1734,13 +1642,14 @@ class Searcher:
 
         A match contains EVERY term, so the intersection of the terms'
         (masked) posting doc sets, rarest first, bounds the positional work.
-        Non-selective candidates (e.g. a Zipf-head bigram) match over each
-        term's cached global keys (:meth:`IndexReader.position_keys_with_max`)
-        — no per-query key build or subset; matching over the FULL lists is
-        identical, since a match contains every term. Selective candidates
-        decode only candidate positions (:meth:`_candidate_plists`) and
-        match over rank keys (:func:`near_intersect`). Both layouts run the
-        same :func:`match_keys`."""
+        Every layout matches over each term's cached global keys
+        (:meth:`IndexReader.position_keys_with_max`) with :func:`match_keys`:
+        in full when the candidates are not selective (e.g. a Zipf-head
+        bigram) — matching over the FULL lists is identical, since a match
+        contains every term — and cut to the candidate docs, one
+        ``searchsorted`` pair and one gather per term, when they are. A term
+        whose keys are missing or overflow the stride falls back to
+        :func:`near_intersect` over the decoded triples."""
         r = self.r
         if not r.has_positions:
             raise ValueError(
@@ -1761,20 +1670,23 @@ class Searcher:
         inter = intersect_doc_sets(postings)
         if inter.size == 0:
             return empty
-        if inter.size * 4 >= min(postings[t].size for t in uniq):
-            keys = {}
-            for t in uniq:
-                km = r.position_keys_with_max(t)
-                # the window reaches key ± (slop + 1): it must stay in-doc
-                if km is None or km[1] + slop + 2 > r.POS_KEY_STRIDE:
-                    break  # stride overflow / field term: candidate layout
-                keys[t] = km[0]
-            else:
-                ends = match_keys(terms, keys, slop, ordered)
-                return run_length(ends // r.POS_KEY_STRIDE)
-        plists = self._candidate_plists(uniq, inter, postings)
-        if plists is None:
-            return empty
+        S = r.POS_KEY_STRIDE
+        selective = inter.size * 4 < min(postings[t].size for t in uniq)
+        keys = {}
+        for t in uniq:
+            km = r.position_keys_with_max(t)
+            # the window reaches key ± (slop + 1): it must stay in-doc
+            if km is None or km[1] + slop + 2 > S:
+                break  # stride overflow / field term: decoded triples
+            keys[t] = keys_in_docs(km[0], inter, S) if selective else km[0]
+        else:
+            return run_length(match_keys(terms, keys, slop, ordered) // S)
+        plists = {}
+        for t in uniq:
+            p = r.positions(t)
+            if p is None:
+                return empty  # field term: postings but no token stream
+            plists[t] = p
         return near_intersect(terms, plists, slop, ordered)
 
     # ---------------------------------------------------------------- facets
@@ -2049,6 +1961,7 @@ def best_fields_search(
     postings — fields are typically short (title, location, pid), so the
     extra fields add little; the merge is one union + max over match maps.
     """
+    check_k(k)
     maps = []
     for s in searchers:
         terms, exact = s.r.tokenizer.tokenize_query(query)
@@ -2153,7 +2066,7 @@ class QueryScorer:
         for qid, query, k, mode in zip(
             batch["query_id"].to_pylist(), batch["query"].to_pylist(), ks, modes
         ):
-            kk = int(k or self.k)
+            kk = self.k if k is None else int(k)
             mode = mode or self.mode
             if self.result_cache:
                 key = (query, mode, kk)

@@ -159,3 +159,47 @@ def test_delete_and_refresh_reject_bad_input(cli_index, capsys):
     with pytest.raises(SystemExit):
         main(["delete", "--index", cli_index])
     capsys.readouterr()
+
+
+def test_k_below_one_raises_on_every_surface(cli_index, capsys):
+    """k < 1 is a caller error on every surface: each Searcher entry point
+    and run_query raise one ValueError, QueryScorer maps only a null k to
+    its default, and CLI ``-k 0`` exits 2."""
+    import pyarrow as pa
+
+    from nmr_fair_dos_ray.search.engine import (
+        IndexReader, QueryScorer, RANKED_MODES, Searcher, best_fields_search,
+        run_query,
+    )
+
+    s = Searcher(IndexReader(cli_index))
+    queries = {"phrase": "user name", "near": "user name", "regex": "get.*",
+               "wildcard": "get*", "prefix": "get", "fuzzy": "merg",
+               "query": '"user name" merge'}
+    for k in (0, -1):
+        for mode, method in RANKED_MODES.items():
+            q = queries.get(mode, "def return")
+            with pytest.raises(ValueError, match="k must be >= 1"):
+                getattr(s, method)(q, k=k)
+            with pytest.raises(ValueError, match="k must be >= 1"):
+                run_query([s], mode, q, k)
+        for q in ("lang:python", "def return"):  # exact-only and scored
+            with pytest.raises(ValueError, match="k must be >= 1"):
+                s.search(q, k=k)
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            best_fields_search([s], "def return", k=k)
+    assert run_query([s], "count", "def", 0) == s.count("def")
+
+    scorer = QueryScorer(index_dir=cli_index, k=3)
+    out = scorer(pa.table({"query_id": [0], "query": ["def return"],
+                           "k": pa.array([None], pa.int64())}))
+    assert [(d, sc) for d, sc in zip(out["doc_id"].to_pylist(),
+                                     out["score"].to_pylist())] \
+        == s.search("def return", k=3)
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        scorer(pa.table({"query_id": [0], "query": ["def return"], "k": [0]}))
+
+    with pytest.raises(SystemExit) as e:
+        main(["search", "--index", cli_index, "--query", "merge", "-k", "0"])
+    assert e.value.code == 2
+    assert "k must be >= 1" in capsys.readouterr().err

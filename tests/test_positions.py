@@ -368,10 +368,10 @@ def test_sharded_near_unordered_matches_local(pos_index):
 
 
 def test_candidate_layout_matches_cached_keys(pos_index, monkeypatch):
-    """Phrase and near match over one of two key layouts: the reader's
-    cached global keys (non-selective candidates) or candidate rank keys.
-    With the cached keys unavailable every query takes the candidate
-    layout, and must return what the default path returns."""
+    """The fallback: a term whose cached keys are missing, or whose doc
+    positions overflow ``POS_KEY_STRIDE``, is matched by
+    :func:`near_intersect` over the decoded triples, and must return what
+    the cached-key path returns."""
     r, r_salt, _ = pos_index
     cases = [(p, slop, ordered) for p in PHRASES for slop in (0, 1, 3)
              for ordered in (True, False)]
@@ -387,14 +387,84 @@ def test_candidate_layout_matches_cached_keys(pos_index, monkeypatch):
         return ([s.search_phrase(p, k=50) for p in PHRASES],
                 [s.search_near(p, k=50, slop=slop, ordered=o) for p, slop, o in cases])
 
-    for reader in (r, r_salt):
+    for d, reader in ((DIR_POS, r), (DIR_POS_SALT, r_salt)):
         monkeypatch.setattr(IndexReader, "position_keys_with_max", spy)
         want = run(reader)
         monkeypatch.setattr(IndexReader, "position_keys_with_max",
                             lambda self, term: None)
         assert run(reader) == want
+        # a real stride overflow: a fresh reader (its key cache follows the
+        # stride) whose long docs hold positions past a 16-position stride
+        monkeypatch.setattr(IndexReader, "position_keys_with_max", calls)
+        monkeypatch.setattr(IndexReader, "POS_KEY_STRIDE", 16)
+        small = IndexReader(d)
+        assert any(small.position_keys_with_max(t) is None
+                   for p in PHRASES for t in small.tokenizer.tokenize(p))
+        assert run(small) == want
+        monkeypatch.undo()
     assert keyed  # the default path did take the cached-key layout
     assert any(hits for hits in want[1])
+
+
+DIR_SEL = "/tmp/nmr_fair_dos_ray/test_index_selective"
+DIR_SEL_SALT = "/tmp/nmr_fair_dos_ray/test_index_selective_salt"
+
+
+@pytest.fixture(scope="module")
+def selective_index():
+    """Two terms with df 13 that share only two docs: adjacent in one,
+    reversed with a one-token gap in the other — a candidate set selective
+    enough that the match cuts each term's cached keys to it."""
+    import pyarrow as pa
+
+    content = ["alpha beta gamma", "beta delta alpha epsilon beta"]
+    content += [f"alpha filler{i} zeta" for i in range(11)]
+    content += [f"zeta filler{i} beta" for i in range(11)]
+    n = len(content)
+    corpus = "/tmp/nmr_fair_dos_ray/test_selective_corpus.parquet"
+    pq.write_table(pa.table({
+        "repo": [f"org/r{i % 3}" for i in range(n)],
+        "path": [f"f{i}.py" for i in range(n)],
+        "lang": ["python"] * n,
+        "content": content,
+    }), corpus)
+    for d in (DIR_SEL, DIR_SEL_SALT):
+        shutil.rmtree(d, ignore_errors=True)
+    build_index(corpus, DIR_SEL, IndexConfig(store_positions=True, **BASE))
+    build_index(corpus, DIR_SEL_SALT, IndexConfig(
+        store_positions=True, salt_hot_terms=True, hot_df_threshold=8,
+        n_salts=3, **BASE))
+    return IndexReader(DIR_SEL), IndexReader(DIR_SEL_SALT), {"corpus": corpus}
+
+
+def test_selective_candidates_cut_cached_keys(selective_index):
+    from nmr_fair_dos_ray.search.engine import intersect_doc_sets
+
+    r, r_salt, fx = selective_index
+    streams = _streams(fx)
+    tok = Tokenizer("code")
+    phrases = ["alpha beta", "beta alpha", "alpha beta gamma",
+               "alpha zeta", "beta delta alpha"]
+    for reader in (r, r_salt):
+        postings = {t: reader.postings(t)[0] for t in ("alpha", "beta")}
+        inter = intersect_doc_sets(postings)
+        assert min(v.size for v in postings.values()) >= 8
+        assert inter.size * 4 < min(v.size for v in postings.values())
+        s = Searcher(reader)
+        for phrase in phrases:
+            words = tok.tokenize(phrase)
+            assert s.search_phrase(phrase, k=50) == \
+                _brute_phrase(streams, words, 50), phrase
+            for slop in range(4):
+                assert s.search_near(phrase, k=50, slop=slop) == \
+                    _brute_near(streams, words, slop, 50), (phrase, slop)
+                assert s.search_near(phrase, k=50, slop=slop, ordered=False) \
+                    == _brute_near_unordered(streams, words, slop, 50), \
+                    (phrase, slop)
+    # the one adjacent occurrence, and the reversed pair within the window
+    assert Searcher(r).search_phrase("alpha beta") == [(0, 1)]
+    assert Searcher(r).search_near("alpha beta", slop=1, ordered=False) \
+        == [(1, 2), (0, 1)]
 
 
 # --------------------------------------------------------------- reader caches

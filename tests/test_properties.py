@@ -189,25 +189,34 @@ def test_composite_key_hot_path_matches_phrase_intersect(seed, n_terms, slop, or
     np.testing.assert_array_equal(got[1], want[1])
 
 
-@given(st.integers(min_value=0, max_value=2**31 - 1))
+@given(st.integers(min_value=0, max_value=2**31 - 1),
+       st.integers(min_value=1, max_value=3),
+       st.integers(min_value=0, max_value=3),
+       st.booleans())
 @settings(max_examples=40, deadline=None)
-def test_subset_positions_equals_manual_filter(seed):
-    from nmr_fair_dos_ray.search.engine import _subset_positions
+def test_keys_cut_to_candidates_match_near_intersect(seed, n_terms, slop, ordered):
+    """The selective layout: each term's global doc*K+pos keys cut to the
+    candidate docs (the terms' doc-set intersection), then match_keys, must
+    equal near_intersect over the full plists."""
+    from nmr_fair_dos_ray.search.engine import (
+        intersect_doc_sets, keys_in_docs, match_keys, near_intersect, run_length,
+    )
 
     rng = np.random.RandomState(seed)
-    plists = _random_plists(rng, 1, n_docs=15, max_tf=4)
-    docs, offs, flat = plists["t0"]
-    cand = np.flatnonzero(rng.random(20) < 0.4).astype(np.int64)
-    sd, so, sf = _subset_positions((docs, offs, flat), cand)
-    kept = [i for i, d in enumerate(docs) if d in set(cand.tolist())]
-    assert sd.tolist() == [int(docs[i]) for i in kept]
-    want_flat = np.concatenate(
-        [flat[offs[i]:offs[i + 1]] for i in kept]
-    ) if kept else np.empty(0, np.int64)
-    np.testing.assert_array_equal(sf, want_flat)
-    assert so.tolist() == np.concatenate(
-        [[0], np.cumsum([offs[i + 1] - offs[i] for i in kept])]
-    ).tolist()
+    plists = _random_plists(rng, n_terms, n_docs=30, max_tf=3)
+    terms = [f"t{rng.randint(0, n_terms)}" for _ in range(n_terms)]
+    K = 1 << 22
+    inter = intersect_doc_sets({t: plists[t][0] for t in set(terms)})
+    keys = {
+        t: keys_in_docs(np.repeat(d, np.diff(o)) * K + f, inter, K)
+        for t, (d, o, f) in plists.items()
+    }
+    for t in set(terms):  # the cut keeps exactly the candidates' keys
+        assert set((keys[t] // K).tolist()) == set(inter.tolist())
+    got = run_length(match_keys(terms, keys, slop, ordered) // K)
+    want = near_intersect(terms, plists, slop, ordered)
+    np.testing.assert_array_equal(got[0], want[0])
+    np.testing.assert_array_equal(got[1], want[1])
 
 
 @given(st.lists(st.integers(min_value=0, max_value=500), max_size=80),

@@ -1,8 +1,8 @@
-"""Positional-index benchmark: build cost + bytes of store_positions, and
-phrase/conjunctive/facet query latency over the sf-bench fixture corpus
-(150k docs). Phrase results are cross-checked against a brute-force
-adjacency recompute on a sample. Prints one JSON line; numbers recorded in
-BASELINE.md.
+"""Positional-index benchmark: build cost + bytes of store_positions,
+phrase/conjunctive/facet/near/unordered-near query latency, and the
+reader's resident positional cache bytes after those passes, over the
+sf-bench fixture corpus (150k docs). Prints one JSON line; numbers
+recorded in BASELINE.md.
 
 Usage: RAY_GRAFT_CPUS=32 python tools/bench_positions.py
 """
@@ -66,55 +66,35 @@ def main() -> dict:
     qs = [r["query"] for r in pq.read_table(fx["queries"]).to_pylist()]
     toks = [w for q in qs for w in q.split() if ":" not in w]
     phrases = [f"{a} {b}" for a, b in zip(toks, toks[1:])][:40] or ["def return"]
-    for _ in range(2):  # warm
-        for p in phrases[:10]:
-            s.search_phrase(p, k=10)
-    lat = []
-    n_hits = 0
-    for _ in range(5):
-        for p in phrases:
-            t0 = time.time()
-            n_hits += len(s.search_phrase(p, k=10))
-            lat.append((time.time() - t0) * 1000)
-    lat_np = np.array(lat)
-    out["phrase"] = {
-        "n_queries": len(lat), "total_hits": n_hits,
-        "p50_ms": round(float(np.percentile(lat_np, 50)), 3),
-        "p99_ms": round(float(np.percentile(lat_np, 99)), 3),
-    }
-    and_qs = qs[:40]
-    lat = []
-    for _ in range(5):
-        for q in and_qs:
-            t0 = time.time()
-            s.search_and(q, k=10)
-            lat.append((time.time() - t0) * 1000)
-    lat_np = np.array(lat)
-    out["and"] = {"p50_ms": round(float(np.percentile(lat_np, 50)), 3),
-                  "p99_ms": round(float(np.percentile(lat_np, 99)), 3)}
-    lat = []
-    for _ in range(5):
-        for q in qs[:20]:
-            t0 = time.time()
-            s.facet_counts(q, "lang")
-            lat.append((time.time() - t0) * 1000)
-    lat_np = np.array(lat)
-    out["facet"] = {"p50_ms": round(float(np.percentile(lat_np, 50)), 3),
-                    "p99_ms": round(float(np.percentile(lat_np, 99)), 3)}
-    # ordered proximity over the same bigrams (slop=2): must track the
-    # phrase p50 closely — same candidate machinery, one extra searchsorted
-    lat = []
-    for _ in range(2):
-        for p in phrases[:10]:
-            s.search_near(p, k=10, slop=2)
-    for _ in range(5):
-        for p in phrases:
-            t0 = time.time()
-            s.search_near(p, k=10, slop=2)
-            lat.append((time.time() - t0) * 1000)
-    lat_np = np.array(lat)
-    out["near_slop2"] = {"p50_ms": round(float(np.percentile(lat_np, 50)), 3),
-                         "p99_ms": round(float(np.percentile(lat_np, 99)), 3)}
+
+    def timed(fn, items, warm=0):
+        """p50/p99 ms and total hits of ``fn`` over 5 passes of ``items``,
+        after ``warm`` untimed passes over the first 10."""
+        for _ in range(warm):
+            for it in items[:10]:
+                fn(it)
+        lat, n_hits = [], 0
+        for _ in range(5):
+            for it in items:
+                t0 = time.time()
+                n_hits += len(fn(it))
+                lat.append((time.time() - t0) * 1000)
+        return {"n_queries": len(lat), "total_hits": n_hits,
+                "p50_ms": round(float(np.percentile(lat, 50)), 3),
+                "p99_ms": round(float(np.percentile(lat, 99)), 3)}
+
+    out["phrase"] = timed(lambda p: s.search_phrase(p, k=10), phrases, warm=2)
+    out["and"] = timed(lambda q: s.search_and(q, k=10), qs[:40])
+    out["facet"] = timed(lambda q: s.facet_counts(q, "lang"), qs[:20])
+    # ordered and unordered proximity over the same bigrams (slop=2): must
+    # track the phrase p50 closely — same cached keys, one extra
+    # searchsorted per term
+    for name, ordered in (("near_slop2", True), ("near_unordered_slop2", False)):
+        out[name] = timed(lambda p: s.search_near(p, k=10, slop=2, ordered=ordered),
+                          phrases, warm=2)
+    # resident bytes of the reader's one positional cache (the per-term
+    # global keys) after the phrase, near and unordered passes
+    out["positional_cache_mb"] = round(s.r._p_keys_cache.used / 2**20, 1)
     ray.shutdown()
     return out
 
