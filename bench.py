@@ -38,21 +38,6 @@ SF_DIR = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
 NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
 
 
-def _bench_queries(sf_dir: str, n: int = 200) -> list[str]:
-    """Deterministic query workload drawn from the corpus itself."""
-    import pyarrow.parquet as pq
-
-    t = pq.read_table(os.path.join(sf_dir, "documents.parquet"), columns=["text"])
-    texts = t["text"].to_pylist()
-    out = []
-    for i in range(n):
-        words = (texts[(i * 37) % len(texts)] or "a b c").split()
-        k = 2 + (i % 3)
-        picks = [words[(i * 7 + j * 13) % len(words)] for j in range(k)]
-        out.append(" ".join(picks))
-    return out
-
-
 def run_bench() -> dict:
     import ray
 

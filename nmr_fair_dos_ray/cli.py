@@ -33,11 +33,14 @@ def _ensure_ray() -> None:
         ray.init(include_dashboard=False, logging_level="ERROR")
 
 
-def _k(s: str) -> int:
-    """``-k``: a result size of at least 1 (argparse exits 2 otherwise)."""
-    if int(s) < 1:
-        raise argparse.ArgumentTypeError("k must be >= 1")
-    return int(s)
+def _int_at_least(name: str, lo: int):
+    """argparse type of an int option that must be >= ``lo`` (``-k`` 1,
+    ``--slop`` 0, as the engine checks them); argparse exits 2 otherwise."""
+    def parse(s: str) -> int:
+        if int(s) < lo:
+            raise argparse.ArgumentTypeError(f"{name} must be >= {lo}")
+        return int(s)
+    return parse
 
 
 def _cols(s: str | None) -> tuple[str, ...]:
@@ -215,7 +218,7 @@ def main(argv: list[str] | None = None) -> int:
                    help="index directory; repeat for best_fields mode "
                         "(one index per scored field)")
     s.add_argument("--query", required=True)
-    s.add_argument("-k", type=_k, default=10)
+    s.add_argument("-k", type=_int_at_least("k", 1), default=10)
     s.add_argument(
         "--mode",
         choices=("bm25", "and", "phrase", "near", "prefix", "regex",
@@ -231,7 +234,7 @@ def main(argv: list[str] | None = None) -> int:
     s.add_argument("--pool", type=int, default=1,
                    help="serve from a doc-partitioned actor pool of this "
                         "size instead of a local reader (results identical)")
-    s.add_argument("--slop", type=int, default=0,
+    s.add_argument("--slop", type=_int_at_least("slop", 0), default=0,
                    help="near mode: max extra tokens per consecutive gap")
     s.add_argument("--unordered", action="store_true",
                    help="near mode: order-free matching — every other term "
@@ -267,7 +270,7 @@ def main(argv: list[str] | None = None) -> int:
         "refresh-stats",
         help="unfreeze global stats after compact: recompute n_docs/avgdl/"
              "df and rewrite block maxes metadata-only (rankings equal a "
-             "full rebuild; champion lists dropped)",
+             "full rebuild)",
     )
     rs.add_argument("--index", required=True)
     rs.set_defaults(fn=cmd_refresh_stats)

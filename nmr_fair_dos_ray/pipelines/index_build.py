@@ -39,9 +39,9 @@ On disk only the searchable index stays: ``shards/`` (cold shards plus
 ``shard_hot.parquet``), ``docs/``, ``manifest.json`` and the invert partition
 log. A shard file holds only what a reader cannot recompute, one row per
 term: ``term``, ``df``, ``blocks`` (``codec.BLOCK_TYPE``: doc range, count,
-idf-free block max and the varint docs/tfs bytes), plus ``champ_docs`` /
-``champ_tfn`` with champion lists and ``pos_stream`` with positions. Block
-BM25 bounds are derived by the reader from df and the manifest's n_docs.
+idf-free block max and the varint docs/tfs bytes), plus ``pos_stream``
+with positions. Block BM25 bounds are derived by the reader from df and
+the manifest's n_docs.
 Every shard and doc-store file goes through one writer
 (:func:`write_index_file`: zstd, hidden temp name, ``os.replace``), which
 also picks each column's parquet encoding (:data:`INDEX_COLUMN_ENCODING`):
@@ -130,20 +130,10 @@ class IndexConfig:
     salt_hot_terms: bool = True
     hot_df_threshold: int | None = None  # None → max(1024, n_docs // 8)
     n_salts: int = 1
-    # ---- champion lists (static-pruning experiment, VERDICT r2 item 8) ----
-    # champion_m > 0 stores, per term, the doc_ids + stored tf_norm of its
-    # top-m postings by impact (BM25 tf-norm; idf is constant within a term
-    # so the order is global). At query time the searcher floors the windowed
-    # scorer's top-k threshold from the champions' exact per-term
-    # contributions BEFORE any window is scored — results stay bit-identical
-    # (the floor is a proven lower bound; see search/engine.py Searcher
-    # docstring), but early windows can be skipped instead of scored. Terms with df < champion_df_min store no
-    # champions: the Zipf tail (df ≤ m) would duplicate its entire posting
-    # list for lists of only 1-2 blocks anyway — measured at sf0.1,
-    # the cutoff shrinks champion storage ~8× at identical p50.
-    # champion_df_min=None → auto (4 * champion_m).
+    # Retired: champion lists are no longer built and this field has no
+    # effect. It stays only so configs that still pass it construct; drop it
+    # once perfbench's MAIN config stops passing ``champion_m``.
     champion_m: int = 0
-    champion_df_min: int | None = None
     # ---- positional index (phrase queries, ES match_phrase analog;
     # reference delegates phrase semantics to Elasticsearch's default
     # analyzer/index, src/nmr_FAIR_DOs/connectors/elasticsearch.py:169-173).
@@ -171,19 +161,12 @@ class IndexConfig:
             "salt_hot_terms": self.salt_hot_terms,
             "hot_df_threshold": self.hot_df_threshold,
             "n_salts": self.n_salts,
-            "champion_m": self.champion_m,
-            "champion_df_min": self.champion_df_min,
             "store_positions": self.store_positions,
         }
 
-    @property
-    def champ_df_min(self) -> int:
-        return (
-            self.champion_df_min
-            if self.champion_df_min is not None
-            else 4 * self.champion_m
-        )
 
+#: config keys an older build wrote to its manifest; a resume ignores them
+_RETIRED_CONFIG_KEYS = ("champion_m", "champion_df_min")
 
 POSTING_SCHEMA = pa.schema(
     [
@@ -531,37 +514,8 @@ _EMPTY_SHARD = pa.schema(
     [("term", pa.string()), ("df", pa.int64()), ("blocks", pa.list_(BLOCK_TYPE))]
 )
 
-_CHAMP_FIELDS = [
-    ("champ_docs", pa.list_(pa.int64())),
-    ("champ_tfn", pa.list_(pa.float64())),
-]
-
-
-def _top_m_per_segment(
-    doc_ids: np.ndarray, tfn: np.ndarray, counts: np.ndarray, m: int,
-    seg_df: np.ndarray | None = None, df_min: int = 0,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Indices of each segment's top-m elements by (tfn desc, doc asc), plus
-    the per-segment champion counts — one global lexsort, no per-term loop.
-
-    Segments are contiguous runs of ``counts`` elements (term order).
-    Segments whose df (``seg_df``, default ``counts``) is below ``df_min``
-    get an EMPTY champion list — the Zipf tail isn't worth the bytes.
-    """
-    n = doc_ids.size
-    if seg_df is None:
-        seg_df = counts
-    seg = np.repeat(np.arange(counts.size, dtype=np.int64), counts)
-    order = np.lexsort((doc_ids, -tfn, seg))  # primary: seg, then tfn desc
-    starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
-    pos = np.arange(n, dtype=np.int64) - np.repeat(starts, counts)
-    eligible = np.repeat(seg_df >= df_min, counts)
-    take = order[(pos < m) & eligible]
-    return take, np.where(seg_df >= df_min, np.minimum(counts, m), 0)
-
-
 def build_group_table(
-    group: pa.Table, cfg: IndexConfig, avgdl: float, hot_part: bool = False,
+    group: pa.Table, cfg: IndexConfig, avgdl: float,
 ) -> pa.Table:
     """Merge+compress one group of postings (columns term/doc_id/tf/doclen)
     into a shard table: sort (term, doc_id) once, slice per term via
@@ -574,9 +528,6 @@ def build_group_table(
     """
     if group.num_rows == 0:
         schema = _EMPTY_SHARD
-        if cfg.champion_m > 0:
-            for name, typ in _CHAMP_FIELDS:
-                schema = schema.append(pa.field(name, typ))
         if cfg.store_positions:
             schema = schema.append(pa.field("pos_stream", pa.binary()))
         return schema.empty_table()
@@ -607,29 +558,6 @@ def build_group_table(
         "df": pa.array(counts, pa.int64()),
         "blocks": blocks_list,
     }
-    if cfg.champion_m > 0:
-        # champion lists: per term, the doc_ids of the top-m postings by
-        # impact (tf_norm; idf constant per term ⇒ same order as BM25 score).
-        # tfn is stored too so salted hot-term parts can be re-merged by
-        # impact without decoding postings (merge_hot_parts).
-        from nmr_fair_dos_ray.search.bm25 import bm25_tf_norm
-
-        tfn = bm25_tf_norm(tfs, doclens, cfg.k1, cfg.b, avgdl)
-        # hot doc-range parts see only partial df, so the Zipf-tail cutoff is
-        # deferred to merge_hot_parts where global df is known.
-        take, c_counts = _top_m_per_segment(
-            doc_ids, tfn, counts, cfg.champion_m,
-            df_min=0 if hot_part else cfg.champ_df_min,
-        )
-        offs = pa.array(
-            np.concatenate([[0], np.cumsum(c_counts)]).astype(np.int32), pa.int32()
-        )
-        cols["champ_docs"] = pa.ListArray.from_arrays(
-            offs, pa.array(doc_ids[take], pa.int64())
-        )
-        cols["champ_tfn"] = pa.ListArray.from_arrays(
-            offs, pa.array(tfn[take], pa.float64())
-        )
     if cfg.store_positions and "pos" in g.column_names:
         # per-term position stream: the sorted postings' varint byte strings
         # concatenate directly (each is self-delimiting; count = that
@@ -840,11 +768,12 @@ def build_index(
     man = Manifest(index_dir)
     plog = PartitionLog(index_dir, "invert")
 
-    cfg_json = json.dumps(cfg.to_dict(), sort_keys=True)
-    cfg_changed = (
-        man.data.get("config")
-        and json.dumps(man.data["config"], sort_keys=True) != cfg_json
-    )
+    # an older build's manifest also holds the retired champion-list keys,
+    # which must not read as a config change: a clean rebuild would re-invert
+    # the source files and bring back docs a delete + compact expunged
+    old_cfg = {k: v for k, v in man.data.get("config", {}).items()
+               if k not in _RETIRED_CONFIG_KEYS}
+    cfg_changed = bool(old_cfg) and old_cfg != cfg.to_dict()
     fp_changed = man.data.get("input_fingerprint") not in (None, fp)
     # finished build: its final manifest save carries build_wall_sec
     finished = (resume and not cfg_changed
@@ -1094,9 +1023,7 @@ def build_index(
                         columns=merge_cols, filter=is_hot,
                     )
                     path = os.path.join(hotparts_dir, f"part_{pid:06d}.parquet")
-                shard_table = build_group_table(
-                    g, cfg, avgdl, hot_part=(it["kind"] != "cold")
-                )
+                shard_table = build_group_table(g, cfg, avgdl)
                 write_index_file(shard_table, path)
                 rows.append(
                     {
@@ -1134,10 +1061,7 @@ def build_index(
     )
     if hot_sorted.size and not hotmerge_complete:
         t2 = time.time()
-        out_path = merge_hot_parts(
-            hotparts_dir, shards_dir, champion_m=cfg.champion_m,
-            champ_df_min=cfg.champ_df_min,
-        )
+        out_path = merge_hot_parts(hotparts_dir, shards_dir)
         man.mark_stage(
             "hotmerge", status="done", n_hot=int(hot_sorted.size),
             path=out_path, wall_sec=time.time() - t2,
@@ -1173,10 +1097,7 @@ def build_index(
     return man.data
 
 
-def merge_hot_parts(
-    hotparts_dir: str, shards_dir: str, champion_m: int = 0,
-    champ_df_min: int = 0,
-) -> str | None:
+def merge_hot_parts(hotparts_dir: str, shards_dir: str) -> str | None:
     """Concatenate each hot term's salted doc-range parts into one final
     posting list with its global df.
 
@@ -1234,33 +1155,6 @@ def merge_hot_parts(
         "df": pa.array(df_tot, pa.int64()),
         "blocks": pa.ListArray.from_arrays(pa.array(new_offsets, pa.int32()), flat),
     }
-    if champion_m > 0 and "champ_docs" in t.column_names:
-        # champion re-merge: each salted part kept its top-m by impact over a
-        # disjoint doc range (so no duplicate docs per term); the global
-        # top-m is the top-m of the per-part champions' union — pure metadata
-        # work on ≤ m × parts values per term, postings never decoded.
-        cd = t["champ_docs"].combine_chunks()
-        ct = t["champ_tfn"].combine_chunks()
-        per_row = np.diff(cd.offsets.to_numpy(zero_copy_only=False).astype(np.int64))
-        flat_docs = cd.flatten().to_numpy(zero_copy_only=False)
-        flat_tfn = ct.flatten().to_numpy(zero_copy_only=False)
-        term_of_row = np.cumsum(np.concatenate([[0], ~same_term]))
-        seg_counts = np.bincount(
-            np.repeat(term_of_row, per_row), minlength=starts.size
-        ).astype(np.int64)
-        take, c_counts = _top_m_per_segment(
-            flat_docs, flat_tfn, seg_counts, champion_m,
-            seg_df=df_tot, df_min=champ_df_min,
-        )
-        c_offs = pa.array(
-            np.concatenate([[0], np.cumsum(c_counts)]).astype(np.int32), pa.int32()
-        )
-        cols["champ_docs"] = pa.ListArray.from_arrays(
-            c_offs, pa.array(flat_docs[take], pa.int64())
-        )
-        cols["champ_tfn"] = pa.ListArray.from_arrays(
-            c_offs, pa.array(flat_tfn[take], pa.float64())
-        )
     if "pos_stream" in t.column_names:
         # parts are already in (term, doc-range) order; their per-part varint
         # streams concatenate to the term's global stream (first values are

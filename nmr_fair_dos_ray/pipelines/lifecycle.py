@@ -326,11 +326,12 @@ def _compact_shard_table(
     stored and blocks are re-encoded with tf-norms under the manifest's
     ``avgdl`` — so search results are bit-identical to the
     tombstone-masked index, and the reader's derived block bounds stay
-    valid. Every other column (``term``, ``df``, and whatever else an
-    older build wrote) is frozen, filtered to the kept terms. Terms whose
-    postings are all dead are dropped (observably identical: their masked
-    postings were already empty)."""
+    valid. ``term`` and ``df`` are frozen, filtered to the kept terms;
+    only the reader's columns are written, so whatever else an older build
+    wrote goes. Terms whose postings are all dead are dropped (observably
+    identical: their masked postings were already empty)."""
     from nmr_fair_dos_ray.codec import encode_group_blocks, varint_position_lists
+    from nmr_fair_dos_ray.search.engine import SHARD_COLUMNS
 
     n_terms = t.num_rows
     if n_terms == 0:
@@ -353,24 +354,6 @@ def _compact_shard_table(
         float(cfg["k1"]), float(cfg["b"]), avgdl, int(cfg["block_size"]),
     )
 
-    if "champ_docs" in t.column_names:
-        champ = t["champ_docs"].combine_chunks()
-        c_off = champ.offsets.to_numpy(zero_copy_only=False).astype(np.int64)
-        c_docs = np.asarray(champ.flatten())
-        c_tfn = np.asarray(t["champ_tfn"].combine_chunks().flatten())
-        c_keep = ~_member(c_docs, tomb)
-        new_c_counts = _seg_sum(c_keep.astype(np.int64), c_off)[keep_term]
-        new_c_off = np.concatenate([[0], np.cumsum(new_c_counts)]).astype(np.int32)
-        # flat champion values of kept terms, dead champions removed
-        term_of_champ = np.repeat(np.arange(n_terms), np.diff(c_off))
-        c_take = c_keep & keep_term[term_of_champ]
-        cols["champ_docs"] = pa.ListArray.from_arrays(
-            pa.array(new_c_off), pa.array(c_docs[c_take], pa.int64())
-        )
-        cols["champ_tfn"] = pa.ListArray.from_arrays(
-            pa.array(new_c_off), pa.array(c_tfn[c_take], pa.float64())
-        )
-
     if positions is not None:
         has_pos, abs_pos = positions
         ptfs = tfs[has_pos]
@@ -390,19 +373,16 @@ def _compact_shard_table(
         )
 
     keep_pa = pa.array(keep_term)
-    arrays = []
-    for name in t.schema.names:
-        if name in cols:
-            arrays.append(cols[name])
-        else:  # term / df (and older builds' extras) — frozen, filtered
-            arrays.append(t[name].combine_chunks().filter(keep_pa))
-    return pa.table(dict(zip(t.schema.names, arrays))), n_before, int(keep.sum())
+    for name in ("term", "df"):  # frozen, filtered to the kept terms
+        cols[name] = t[name].combine_chunks().filter(keep_pa)
+    out = pa.table({name: cols[name] for name in SHARD_COLUMNS if name in cols})
+    return out, n_before, int(keep.sum())
 
 
 def compact_index(index_dir: str) -> dict:
     """Physically remove tombstoned postings ("expunge deletes", the Lucene
     segment-merge analog): rewrite every shard file minus dead postings
-    (blocks re-encoded, champion lists and positional streams filtered),
+    (blocks re-encoded, positional streams filtered),
     drop dead rows from the doc store, then clear the tombstone file.
 
     Search results are BIT-IDENTICAL before and after (frozen global stats;
@@ -518,13 +498,6 @@ def refresh_stats(index_dir: str) -> dict:
     n_docs in the manifest, the same idf the scorer multiplies every
     posting's tf_norm by, so window pruning stays lossless.
 
-    Champion lists are DROPPED: their stored tf_norm values are exact
-    score contributions under the old avgdl and would inflate the
-    champion floor under the new one (over-pruning). The build config is left as
-    it is — the reader finds champion lists by column presence — so the
-    next append (``build_index(resume=True)`` over added files) stays an
-    append, and its merge rebuilds the champions under the new stats.
-
     Rankings after refresh are bit-equal to a full rebuild over the
     surviving corpus (same postings, doclens and stats ⇒ same per-doc
     scores; block maxes only prune) — tested in tests/test_lifecycle.py.
@@ -543,6 +516,7 @@ def refresh_stats(index_dir: str) -> dict:
     import ray.data as rd
 
     from nmr_fair_dos_ray.pipelines.index_build import write_index_file
+    from nmr_fair_dos_ray.search.engine import SHARD_COLUMNS
 
     tomb = read_tombstones(index_dir)
     if tomb.size:
@@ -593,17 +567,11 @@ def refresh_stats(index_dir: str) -> dict:
                 fields=list(BLOCK_TYPE),
             )
             new_blocks = pa.ListArray.from_arrays(blocks.offsets, struct)
-            cols = {}
-            for name in tbl.column_names:
-                if name == "blocks":
-                    cols[name] = new_blocks
-                elif name == "df":
-                    cols[name] = pa.array(df_new, pa.int64())
-                elif name in ("champ_docs", "champ_tfn"):
-                    continue  # stale under the new avgdl — dropped
-                else:
-                    cols[name] = tbl[name]
-            write_index_file(pa.table(cols), path)
+            cols = {"blocks": new_blocks, "df": pa.array(df_new, pa.int64())}
+            # the reader's columns only: an older build's extra columns go
+            write_index_file(pa.table(
+                {name: cols.get(name, tbl[name]) for name in SHARD_COLUMNS
+                 if name in tbl.column_names}), path)
             rows.append({"path": path, "n_terms": len(tbl),
                          "n_postings": int(b_n.sum())})
         return pa.Table.from_pylist(rows)

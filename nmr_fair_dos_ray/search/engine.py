@@ -150,11 +150,11 @@ class _TermsView:
             yield term, self[term]
 
 
-#: the shard-file columns a reader reads (``champ_*`` and ``pos_stream``
-#: only in indexes built with champion lists / positions); files of older
-#: builds also carry ``term_hash``, ``cf`` and a stored block ``max_score``,
+#: the shard-file columns a reader reads (``pos_stream`` only in indexes
+#: built with positions); files of older builds also carry ``term_hash``,
+#: ``cf``, a stored block ``max_score`` and champion lists (``champ_*``),
 #: which are ignored
-SHARD_COLUMNS = ("term", "df", "blocks", "champ_docs", "champ_tfn", "pos_stream")
+SHARD_COLUMNS = ("term", "df", "blocks", "pos_stream")
 
 
 def _read_shard(path: str) -> pa.Table:
@@ -243,11 +243,10 @@ class IndexReader:
         ES/Lucene shard model — all terms, the doc_ids in ``[lo, hi)``):
         per term, only the posting BLOCKS intersecting the range are kept
         (block doc_base/doc_last metadata prunes without decoding), the
-        positional stream is byte-trimmed at the kept-block boundary,
-        champion lists are filtered to the range, and the doclen table /
-        tombstone segments load statistics-pruned to the kept blocks'
-        physical span. Boundary blocks are kept WHOLE (streams stay
-        aligned); their out-of-range postings are masked at query time by
+        positional stream is byte-trimmed at the kept-block boundary, and
+        the doclen table / tombstone segments load statistics-pruned to the
+        kept blocks' physical span. Boundary blocks are kept WHOLE (streams
+        stay aligned); their out-of-range postings are masked at query time by
         :meth:`deleted_mask` — exactly the tombstone mechanism, so every
         query path inherits the range. The term dictionary and the global
         stats (n_docs, avgdl, df) stay corpus-wide: per-doc scores and
@@ -260,28 +259,11 @@ class IndexReader:
             for p in sorted(os.listdir(shards_dir)):
                 if p.endswith(".parquet"):
                     tables.append(_read_shard(os.path.join(shards_dir, p)))
-        # null-filling promotion: a refresh cut short leaves the files it
-        # rewrote without champion lists and the rest with theirs
-        t = (pa.concat_tables(tables, promote_options="default").combine_chunks()
-             if tables else None)
-        st: dict = {"manifest": manifest, "c_off": None, "c_docs": None}
-        st["c_tfn"] = None
-        if t is not None and "champ_docs" in t.column_names:
-            # champion lists (index built with champion_m > 0): per-term
-            # impact-ordered doc_ids + their stored tf_norm, used to floor
-            # the top-k threshold before any window is scored (idf * tfn is
-            # bit-exactly the term's score contribution for that doc)
-            champ = t["champ_docs"].combine_chunks()
-            st["c_off"] = champ.offsets.to_numpy(zero_copy_only=False).astype(np.int64)
-            st["c_docs"] = champ.flatten().to_numpy(zero_copy_only=False)
-            st["c_tfn"] = (
-                t["champ_tfn"].combine_chunks().flatten()
-                .to_numpy(zero_copy_only=False)
-            )
-        st["pos_stream"] = (
+        t = pa.concat_tables(tables).combine_chunks() if tables else None
+        st: dict = {"manifest": manifest, "pos_stream": (
             t["pos_stream"].combine_chunks()
             if t is not None and "pos_stream" in t.column_names else None
-        )
+        )}
         if t is None or t.num_rows == 0:
             st.update(
                 terms=pa.array([], pa.string()),
@@ -369,9 +351,6 @@ class IndexReader:
         self._b_maxtf = st["b_maxtf"]
         self._b_docs = st["b_docs"]
         self._b_tfs = st["b_tfs"]
-        self._c_off = st.get("c_off")
-        self._c_docs = st.get("c_docs")
-        self._c_tfn = st.get("c_tfn")
         ps = st.get("pos_stream")
         self._p_offs, self._p_data = _binary_views(ps) if ps is not None else (None, None)
         # raw byte views for vectorized multi-block decode: consecutive
@@ -783,14 +762,6 @@ class IndexReader:
         self._p_keys_cache.put(term, km)
         return km
 
-    @property
-    def has_champions(self) -> bool:
-        return self._c_docs is not None and self._c_off is not None
-
-    def champions(self, tid: int) -> np.ndarray:
-        """Impact-ordered champion doc_ids of term ``tid`` (may be empty)."""
-        return self._c_docs[self._c_off[tid] : self._c_off[tid + 1]]
-
 
 def wildcard_to_regex(pattern: str) -> str:
     """ES ``wildcard`` pattern → anchored-regex body: ``*`` → ``.*``,
@@ -845,10 +816,21 @@ def intersect_doc_sets(postings: dict[str, np.ndarray]) -> np.ndarray:
 
 
 def check_k(k: int) -> None:
-    """The one guard on a requested result size: ``k < 1`` is a caller
-    error, raised before any work, never a silently short or empty page."""
+    """The one guard on a requested result size: a ``k`` that is not an
+    integer (``bool`` included; numpy integers pass) or is below 1 is a
+    caller error, raised before any work, never a silently short or empty
+    page."""
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+        raise ValueError(f"k must be an integer, got {k!r}")
     if k < 1:
         raise ValueError("k must be >= 1")
+
+
+def check_slop(slop: int) -> None:
+    """A negative proximity ``slop`` is a caller error, not an empty
+    match set."""
+    if slop < 0:
+        raise ValueError("slop must be >= 0")
 
 
 def topk_counts(
@@ -1248,16 +1230,15 @@ def _binary_views(arr: pa.Array) -> tuple[np.ndarray, np.ndarray]:
 def _slice_state_to_doc_range(st: dict, lo: int, hi: int) -> dict:
     """Slice a full reader state to the doc partition ``[lo, hi)``: keep
     only the posting blocks intersecting the range (whole — boundary bleed
-    is masked at query time by ``deleted_mask``), byte-trim each positional
-    stream at its kept-block posting boundary and filter champion lists to
-    the range. Every term stays in the dictionary (a term with no block in
-    range keeps zero blocks), so term expansions — capped ones included —
-    see the same dictionary as a full reader. Pure metadata
-    arithmetic plus varint decodes of the DROPPED prefix blocks' tf streams
-    (to count positional values); kept blocks are never re-encoded, so
-    decode paths, caches and the cursor machinery behave exactly as in a
-    full reader. ``df`` stays the stored GLOBAL value — scores are
-    bit-equal to the corpus-wide reader's."""
+    is masked at query time by ``deleted_mask``) and byte-trim each
+    positional stream at its kept-block posting boundary. Every term stays
+    in the dictionary (a term with no block in range keeps zero blocks), so
+    term expansions — capped ones included — see the same dictionary as a
+    full reader. Pure metadata arithmetic plus varint decodes of the
+    DROPPED prefix blocks' tf streams (to count positional values); kept
+    blocks are never re-encoded, so decode paths, caches and the cursor
+    machinery behave exactly as in a full reader. ``df`` stays the stored
+    GLOBAL value — scores are bit-equal to the corpus-wide reader's."""
     boff = st["boff"]
     n_terms = boff.size - 1
     out = dict(st)
@@ -1316,15 +1297,6 @@ def _slice_state_to_doc_range(st: dict, lo: int, hi: int) -> dict:
     out["b_tfs"] = st["b_tfs"].filter(keep_pa)
     if new_pos_list is not None:
         out["pos_stream"] = pa.array(new_pos_list, type=pos.type)
-    if st.get("c_off") is not None:
-        c_off, c_docs, c_tfn = st["c_off"], st["c_docs"], st["c_tfn"]
-        cmask = (c_docs >= lo) & (c_docs < hi)
-        cseg = np.repeat(np.arange(n_terms, dtype=np.int64), np.diff(c_off))
-        c_counts = np.zeros(n_terms, np.int64)
-        np.add.at(c_counts, cseg[cmask], 1)
-        out["c_docs"] = c_docs[cmask]
-        out["c_tfn"] = c_tfn[cmask]
-        out["c_off"] = np.concatenate([[0], np.cumsum(c_counts)]).astype(np.int64)
     kept_base, kept_last = b_base[keep], b_last[keep]
     phys_lo = int(min(lo, kept_base.min())) if kept_base.size else int(lo)
     phys_hi = (
@@ -1346,18 +1318,7 @@ WINDOW_POSTINGS = 1 << 15
 
 
 class Searcher:
-    """Top-k BM25 search over an :class:`IndexReader`.
-
-    When the index holds champion lists (``IndexConfig.champion_m > 0``),
-    a multi-window query with no filter seeds its pruning threshold θ from
-    them (:meth:`_champion_floor`): for each query term the stored
-    (champion doc, tf_norm) pairs give BIT-EXACT per-term contributions
-    (``idf * tfn``, the scorer's own multiply); summed over the union of
-    champion docs they LOWER-bound each doc's true score, so the k-th
-    largest sum is a valid θ before any window is scored. A window is
-    skipped only when its bound is strictly below θ, so ties and the
-    (score desc, doc_id asc) order are untouched.
-    """
+    """Top-k BM25 search over an :class:`IndexReader`."""
 
     def __init__(self, reader: IndexReader):
         self.r = reader
@@ -1395,10 +1356,9 @@ class Searcher:
         Scores are deterministic float64 (bit-equal to the SQL oracle), so
         the cursor — the last hit of the previous page — addresses a unique
         position. :meth:`_taat` applies the cursor as a vectorized filter in
-        every window and seeds no champion floor under it (a champion on an
-        earlier page would lift θ above the page's k-th score); page cost
-        is one scoring pass (same as ES: search_after still scores the
-        matches, it only skips the discarded-prefix materialization)."""
+        every window; page cost is one scoring pass (same as ES:
+        search_after still scores the matches, it only skips the
+        discarded-prefix materialization)."""
         check_k(k)
         terms, exact = self.r.tokenizer.tokenize_query(query)
         allowed = self._exact_candidates(exact)
@@ -1629,8 +1589,10 @@ class Searcher:
         (last-term) occurrence, either side; count = distinct qualifying
         anchor positions (:func:`match_keys`). Both ranked by (count desc,
         doc_id asc) and SQL-expressible as EXISTS-joined position
-        inequalities (both-order joins for unordered)."""
+        inequalities (both-order joins for unordered). A negative ``slop``
+        raises ``ValueError``."""
         check_k(k)
+        check_slop(slop)
         return topk_counts(*self._near_match(phrase, slop, ordered), k)
 
     def _near_match(
@@ -1792,10 +1754,10 @@ class Searcher:
         split the postings' doc-id span into ceil(postings /
         WINDOW_POSTINGS) equal windows, each scored the same way, visited
         in descending bound (:meth:`_window_bounds`) and ended at the first
-        bound strictly below θ: the k-th best score so far, seeded from the
-        champion floor when no filter is set. Every doc is scored whole
-        inside its one window, so each score is the same term-ordered sum as
-        the oracle's, whatever the window count. A wider expansion is one
+        bound strictly below θ: the k-th best score so far (0.0 until k docs
+        are scored). Every doc is scored whole inside its one window, so
+        each score is the same term-ordered sum as the oracle's, whatever
+        the window count. A wider expansion is one
         pass: its batched decode already holds every posting, and slicing
         every term per window made it slower for no smaller peak.
         """
@@ -1815,8 +1777,7 @@ class Searcher:
         edges = lo + (hi - lo) * np.arange(n_win + 1) // n_win
         cuts = np.array([np.searchsorted(d, edges) for d, _ in parts])
         bounds = self._window_bounds(tids, edges)
-        theta = (self._champion_floor(tids, k) if r.has_champions and allowed is None
-                 and forbidden is None and after is None else 0.0)
+        theta = 0.0
         top = (np.empty(0, np.int64), np.empty(0, np.float64))
         for w in np.argsort(-bounds, kind="stable").tolist():
             if bounds[w] < theta:
@@ -1852,37 +1813,6 @@ class Searcher:
                       np.repeat(r._b_max[blk], reps))
         # a running sum down the rows adds in term order, like the scorer
         return np.add.accumulate(per_term, axis=0, out=per_term)[-1]
-
-    # ---------------------------------------------------------- champions
-    def _champion_floor(self, tids: np.ndarray, k: int) -> float:
-        """θ's starting value from the champion lists of the terms ``tids``
-        (ascending term order) — metadata only.
-
-        Sums, per live champion doc, the exact per-term contributions
-        (``idf * stored tf_norm``) in term order. Each sum is a LOWER bound
-        of the doc's true score: it adds a subset of the scorer's addends
-        in the SAME relative order, and inserting the missing non-negative
-        addends is monotone in float64 (a reordered subset could exceed the
-        full sum by an ulp and over-prune a tied winner). So the k-th
-        largest sum over ≥ k distinct live docs lower-bounds the final k-th
-        best score; 0.0 (no floor) with fewer candidates. Valid only with no
-        filter: a doc that ``allowed``, ``forbidden`` or a ``search_after``
-        cursor removes cannot evidence the final top-k, so :meth:`_taat`
-        calls it only without one."""
-        r = self.r
-        c0, c1 = r._c_off[tids], r._c_off[tids + 1]
-        cj = _gather_ranges(c0, c1)
-        docs = r._c_docs[cj]
-        impact = np.repeat(r._idf[tids], c1 - c0) * r._c_tfn[cj]
-        dm = r.deleted_mask(docs)
-        if dm is not None:
-            # deleted champions cannot evidence the floor (their bound would
-            # inflate θ above the true k-th LIVE score and over-prune)
-            docs, impact = docs[~dm], impact[~dm]
-        cand, acc = _group_docs(docs, impact)
-        if cand.size < k:
-            return 0.0
-        return float(np.partition(acc, cand.size - k)[cand.size - k])
 
 
 def fetch_docs(
@@ -2031,6 +1961,7 @@ class QueryScorer:
     def __init__(self, index_dir: str | None = None, k: int = 10,
                  index_ref=None, result_cache: int = 0,
                  mode: str = "bm25", slop: int = 0, ordered: bool = True):
+        check_slop(slop)
         if index_ref is not None:
             import ray
 
@@ -2066,7 +1997,7 @@ class QueryScorer:
         for qid, query, k, mode in zip(
             batch["query_id"].to_pylist(), batch["query"].to_pylist(), ks, modes
         ):
-            kk = self.k if k is None else int(k)
+            kk = self.k if k is None else k
             mode = mode or self.mode
             if self.result_cache:
                 key = (query, mode, kk)

@@ -203,3 +203,59 @@ def test_k_below_one_raises_on_every_surface(cli_index, capsys):
         main(["search", "--index", cli_index, "--query", "merge", "-k", "0"])
     assert e.value.code == 2
     assert "k must be >= 1" in capsys.readouterr().err
+
+
+def test_non_integer_k_raises(cli_index):
+    """A k that is not an integer (a float, a bool) is a caller error, not
+    a numpy failure or a silent k=1; numpy integers are accepted."""
+    import numpy as np
+    import pyarrow as pa
+
+    from nmr_fair_dos_ray.search.engine import (
+        IndexReader, QueryScorer, Searcher, run_query,
+    )
+
+    s = Searcher(IndexReader(cli_index))
+    for k in (2.5, True, 3.0, "3"):
+        with pytest.raises(ValueError, match="k must be an integer"):
+            s.search("def return", k=k)
+        with pytest.raises(ValueError, match="k must be an integer"):
+            run_query([s], "phrase", "user name", k)
+    assert s.search("def return", k=np.int64(3)) == s.search("def return", k=3)
+    batch = pa.table({"query_id": [0], "query": ["def return"]})
+    with pytest.raises(ValueError, match="k must be an integer"):
+        QueryScorer(index_dir=cli_index, k=2.5)(batch)
+    out = QueryScorer(index_dir=cli_index, k=np.int64(3))(batch)
+    assert out["doc_id"].to_pylist() == [d for d, _ in s.search("def return", k=3)]
+
+
+def test_negative_slop_raises_on_every_surface(cli_index, capsys):
+    """slop < 0 is a caller error on every surface: the local Searcher,
+    run_query, the pool and QueryScorer raise one ValueError, and CLI
+    ``--slop -1`` exits 2."""
+    from nmr_fair_dos_ray.search.distributed import DocShardedSearcher
+    from nmr_fair_dos_ray.search.engine import (
+        IndexReader, QueryScorer, Searcher, run_query,
+    )
+
+    s = Searcher(IndexReader(cli_index))
+    assert s.search_near("user name", k=5, slop=0)
+    for ordered in (True, False):
+        with pytest.raises(ValueError, match="slop must be >= 0"):
+            s.search_near("user name", k=5, slop=-1, ordered=ordered)
+        with pytest.raises(ValueError, match="slop must be >= 0"):
+            run_query([s], "near", "user name", 5, slop=-1, ordered=ordered)
+    with pytest.raises(ValueError, match="slop must be >= 0"):
+        QueryScorer(index_dir=cli_index, mode="near", slop=-1)
+    pool = DocShardedSearcher(cli_index, pool_size=2)
+    try:
+        with pytest.raises(ValueError, match="slop must be >= 0"):
+            pool.search_near("user name", k=5, slop=-1)
+    finally:
+        pool.shutdown()
+
+    with pytest.raises(SystemExit) as e:
+        main(["search", "--index", cli_index, "--query", "user name",
+              "--mode", "near", "--slop", "-1"])
+    assert e.value.code == 2
+    assert "slop must be >= 0" in capsys.readouterr().err

@@ -159,11 +159,11 @@ def test_append_on_copied_index(corpus_dirs, legacy_log):
         assert sc.search(q, k=10) == sf_.search(q, k=10), q
 
 
-# ---- appends that crash at a durable step (hot terms, positions, champions)
+# ---- appends that crash at a durable step (hot terms, positions)
 _SALTED = dict(
     token_cols=("path", "lang"), field_cols=("repo", "lang"),
     stored_cols=("repo", "path"), num_shards=3, store_positions=True,
-    champion_m=4, hot_df_threshold=20, n_salts=3,
+    hot_df_threshold=20, n_salts=3,
 )
 SALTED = IndexConfig(**_SALTED)
 QS = ("def return config", "getUserName merge", "data_loader", "self value")

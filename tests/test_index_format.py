@@ -6,9 +6,10 @@ block's BM25 bound at load from the manifest's n_docs. Every shard and
 doc-store file is zstd parquet written through one atomic writer whose temp
 name directory readers skip; that writer picks each column's encoding
 (front-coded terms, plain position and doc-gap bytes, delta-packed doc-store
-ids). Indexes written before that layout (with ``term_hash``, ``cf`` and a
-stored ``max_score``, Snappy-compressed, default encodings) read, compact,
-refresh and append to the same results.
+ids). Indexes written before that layout (with ``term_hash``, ``cf``, a
+stored ``max_score`` and champion lists, Snappy-compressed, default
+encodings, a manifest config with the retired champion keys) read,
+compact, refresh and append to the same results.
 """
 
 import json
@@ -39,7 +40,7 @@ from nmr_fair_dos_ray.tokenizer import term_hash
 CFG = IndexConfig(
     id_col="did", token_cols=("path", "lang"), field_cols=("repo", "lang"),
     stored_cols=("repo", "path"), num_shards=4, store_positions=True,
-    champion_m=4, hot_df_threshold=8, n_salts=3,
+    hot_df_threshold=8, n_salts=3,
 )
 QUERIES = ["def return self", "user name config", "get set value",
            "import data", "getUserName merge"]
@@ -56,7 +57,7 @@ def _corpus(sf_unit) -> pa.Table:
 
 
 def _build(sf_unit, root) -> tuple[str, str]:
-    """A salted build (hot parts merged) with champions and positions, over
+    """A salted build (hot parts merged) with positions, over
     a one-file corpus dir -> (corpus dir, index dir)."""
     src = root / "src"
     src.mkdir()
@@ -99,7 +100,7 @@ def test_index_files_are_zstd_with_reader_columns_only(built):
                 assert md.row_group(i).column(j).compression == "ZSTD", (path, j)
     for path in shard_files:
         schema = pq.read_schema(path)
-        # champions and positions are on, so every reader column is there
+        # positions are on, so every reader column is there
         assert sorted(schema.names) == sorted(SHARD_COLUMNS), path
         assert schema.field("blocks").type == pa.list_(BLOCK_TYPE), path
 
@@ -215,24 +216,24 @@ def test_crash_leftover_in_docs_is_not_read(built, tmp_path, durable_writes):
 
 
 # ------------------------------------------------ half-refreshed index
-@pytest.mark.parametrize("champion_m", [0, 4])
-def test_bounds_valid_on_half_refreshed_index(sf_unit, tmp_path, champion_m,
+def test_bounds_valid_on_half_refreshed_index(sf_unit, tmp_path,
                                               window_bounds_cover_scores):
     """A refresh cut short leaves some shard files with the new df while
-    the manifest keeps the old n_docs/avgdl. Deleting the longest docs
-    shrinks avgdl (so the refresh scales nothing): block bounds in the
-    reader's view must still cover every posting score and every window
-    bound every doc score in it, and windowed scoring must equal one
-    pass."""
+    the manifest keeps the old n_docs/avgdl. On an index in the older
+    layout, the files it rewrote also differ in schema from the rest.
+    Deleting the longest docs shrinks avgdl (so the refresh scales
+    nothing): block bounds in the reader's view must still cover every
+    posting score and every window bound every doc score in it, and
+    windowed scoring must equal one pass."""
     src = str(tmp_path / "corpus.parquet")
     pq.write_table(_corpus(sf_unit), src)
     cfg = IndexConfig(
         id_col="did", token_cols=("path", "lang"), field_cols=("repo", "lang"),
-        stored_cols=("repo",), num_shards=4, champion_m=champion_m,
-        block_size=16,
+        stored_cols=("repo",), num_shards=4, block_size=16,
     )
     idx = str(tmp_path / "idx")
     build_index(src, idx, cfg)
+    _to_old_format(idx)
     r0 = IndexReader(idx)
     longest = r0._doc_ids_sorted[np.argsort(-r0._doclens_sorted, kind="stable")]
     delete_docs(idx, longest[: r0.n_docs // 5])
@@ -255,12 +256,22 @@ def test_bounds_valid_on_half_refreshed_index(sf_unit, tmp_path, champion_m,
 
 
 # ------------------------------------------------ older-format indexes
+M_OLD = 4  # champion list length of the older layout
+
+
 def _to_old_format(idx: str) -> None:
-    """Rewrite an index's shard and doc-store files the way builds before
-    the slim layout wrote them: shards with ``term_hash``, ``cf`` and a
-    stored block ``max_score``; every file Snappy-compressed."""
-    with open(os.path.join(idx, "manifest.json")) as f:
-        n_docs = int(json.load(f)["stats"]["n_docs"])
+    """Rewrite an index the way older builds wrote it: shards with
+    ``term_hash``, ``cf``, a stored block ``max_score`` and champion lists
+    (``champ_docs``/``champ_tfn``, each term's first postings); every file
+    Snappy-compressed; the manifest config with the retired
+    ``champion_m``/``champion_df_min`` keys."""
+    man_path = os.path.join(idx, "manifest.json")
+    with open(man_path) as f:
+        man = json.load(f)
+    n_docs = int(man["stats"]["n_docs"])
+    man["config"].update(champion_m=M_OLD, champion_df_min=None)
+    with open(man_path, "w") as f:
+        json.dump(man, f)
     old_block = pa.struct(
         [("doc_base", pa.int64()), ("doc_last", pa.int64()), ("n", pa.int32()),
          ("max_score", pa.float64()), ("max_tf_norm", pa.float64()),
@@ -268,7 +279,7 @@ def _to_old_format(idx: str) -> None:
     )
     for path in _files(idx, "shards"):
         t = pq.read_table(path)
-        counts, _, tfs, _ = decode_shard_table(t)
+        counts, docs, tfs, _ = decode_shard_table(t)
         blocks = t["blocks"].combine_chunks()
         flat = blocks.flatten()
         df = t["df"].to_numpy(zero_copy_only=False)
@@ -283,19 +294,29 @@ def _to_old_format(idx: str) -> None:
                                        fields=list(old_block)),
         )
         term_row = np.repeat(np.arange(t.num_rows), counts)
+        first = (np.arange(docs.size)
+                 - np.repeat(np.cumsum(counts) - counts, counts)) < M_OLD
+        c_off = pa.array(np.concatenate(
+            [[0], np.cumsum(np.minimum(counts, M_OLD))]).astype(np.int32))
         cols = {
             "term": t["term"],
             "term_hash": pa.array(term_hash(t["term"]).view(np.int64)),
             "df": t["df"],
             "cf": pa.array(np.bincount(term_row, tfs, t.num_rows).astype(np.int64)),
             "blocks": old_blocks,
+            "champ_docs": pa.ListArray.from_arrays(c_off, pa.array(docs[first])),
+            "champ_tfn": pa.ListArray.from_arrays(
+                c_off, pa.array(tfs[first].astype(np.float64))),
         }
-        for name in ("champ_docs", "champ_tfn", "pos_stream"):
-            if name in t.column_names:
-                cols[name] = t[name]
+        if "pos_stream" in t.column_names:
+            cols["pos_stream"] = t["pos_stream"]
         pq.write_table(pa.table(cols), path, compression="snappy")
     for path in _files(idx, "docs"):
         pq.write_table(pq.read_table(path), path, compression="snappy")
+
+
+def _has_champions(path: str) -> bool:
+    return "champ_docs" in pq.read_schema(path).names
 
 
 def _assert_same_topk(sa: Searcher, sb: Searcher, queries=QUERIES) -> None:
@@ -355,6 +376,7 @@ def test_old_format_index_reads_and_evolves_like_new(sf_unit, tmp_path):
     _assert_same_results(old, new)
     for d in (new, old):
         refresh_stats(d)
+    assert not any(_has_champions(p) for p in _files(old, "shards"))
     _assert_same_results(old, new)
     pq.write_table(extra, os.path.join(src, "part_001.parquet"))
     for d in (new, old):
@@ -368,3 +390,48 @@ def test_old_format_index_reads_and_evolves_like_new(sf_unit, tmp_path):
     for term in rb.terms:
         for x, y in zip(ra.postings(term), rb.postings(term)):
             np.testing.assert_array_equal(x, y)
+
+
+def test_old_format_append_after_compaction_equals_fresh_build(sf_unit, tmp_path):
+    """An older-layout index (champion columns, manifest config with the
+    retired champion keys), deleted and compacted, appends as an append:
+    the kept doc file is not rewritten, every file compaction or the append
+    rewrote has no champion columns, and the result equals a fresh build
+    over the surviving docs plus the appended rows."""
+    src, idx = _build(sf_unit, tmp_path)
+    _to_old_format(idx)
+    victims = sorted({d for q in QUERIES for d, _ in
+                      Searcher(IndexReader(idx)).search(q, k=5)})
+    delete_docs(idx, victims)
+    before = {p: os.stat(p).st_mtime_ns for p in _files(idx, "shards")}
+    compact_index(idx)
+    rewritten = [p for p, m in before.items() if os.stat(p).st_mtime_ns != m]
+    assert rewritten and not any(_has_champions(p) for p in rewritten)
+
+    corpus = _corpus(sf_unit)
+    n = corpus.num_rows
+    extra = corpus.slice(0, 40)
+    extra = extra.set_column(extra.column_names.index("did"), "did",
+                             pa.array(np.arange(n, n + 40, dtype=np.int64)))
+    pq.write_table(extra, os.path.join(src, "part_001.parquet"))
+    docs0 = os.path.join(idx, "docs", "docs_000000.parquet")
+    mtime = os.stat(docs0).st_mtime_ns
+    man = build_index(src, idx, CFG, resume=True)
+    assert "base" in man["stages"]  # an append, not a rebuild
+    assert os.stat(docs0).st_mtime_ns == mtime, "kept doc file rewritten"
+    assert not any(_has_champions(p) for p in _files(idx, "shards"))
+
+    fresh = tmp_path / "fresh"
+    fresh.mkdir()
+    keep = ~np.isin(corpus["did"].to_numpy(), np.array(victims))
+    pq.write_table(corpus.filter(pa.array(keep)), fresh / "part_000.parquet")
+    pq.write_table(extra, fresh / "part_001.parquet")
+    idx_b = str(tmp_path / "idx_fresh")
+    build_index(str(fresh), idx_b, CFG)
+    ra, rb = IndexReader(idx), IndexReader(idx_b)
+    assert ra.n_docs == rb.n_docs == n - len(victims) + 40
+    assert ra.avgdl == rb.avgdl
+    sa, sb = Searcher(ra), Searcher(rb)
+    _assert_same_topk(sa, sb)
+    for phrase in ("user name", "def return"):
+        assert sa.search_phrase(phrase, k=20) == sb.search_phrase(phrase, k=20)

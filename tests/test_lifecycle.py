@@ -4,9 +4,8 @@ Contract (pipelines/lifecycle.py, frozen-stats semantics): deleting docs
 removes them from EVERY search path immediately while every live doc keeps a
 bit-identical score — so the expected post-delete top-k is literally the
 pre-delete full ranking with deleted docs filtered out. The ranked scorer
-in one pass and in many doc windows (with and without champion floors),
-conjunctive, phrase, facet, exact and the sharded serving pool must all
-agree on that.
+in one pass and in many doc windows, conjunctive, phrase, facet, exact and
+the sharded serving pool must all agree on that.
 """
 
 import os
@@ -32,7 +31,6 @@ BASE = dict(
     stored_cols=("repo", "path"),
     num_shards=4,
     store_positions=True,
-    champion_m=8,
 )
 DIR = "/tmp/nmr_fair_dos_ray/test_lifecycle_idx"
 QUERIES = ["def return self", "user name config", "get set value", "import data"]
@@ -398,7 +396,7 @@ def test_append_after_compaction_equals_fresh_build(sf_unit, tmp_path, refresh):
     the append re-derives its postings from the live shards and its stats
     from the doc store, so compacted-away docs never come back. refresh_stats
     leaves the build config alone, so the append stays an append (the kept
-    doc file is not rewritten) and its merge rebuilds the champion lists."""
+    doc file is not rewritten)."""
     from nmr_fair_dos_ray.pipelines.lifecycle import compact_index, refresh_stats
     from nmr_fair_dos_ray.search.engine import fetch_docs
 
@@ -420,7 +418,6 @@ def test_append_after_compaction_equals_fresh_build(sf_unit, tmp_path, refresh):
     compact_index(idx_a)
     if refresh:
         refresh_stats(idx_a)
-        assert IndexReader(idx_a)._c_off is None  # dropped under new stats
     docs0 = os.path.join(idx_a, "docs", "docs_000000.parquet")
     mtime = os.stat(docs0).st_mtime_ns
     pq.write_table(extra, src / "part_001.parquet")
@@ -438,7 +435,6 @@ def test_append_after_compaction_equals_fresh_build(sf_unit, tmp_path, refresh):
     ra, rb = IndexReader(idx_a), IndexReader(idx_b)
     assert ra.n_docs == rb.n_docs == n - len(victims) + 40
     assert ra.avgdl == pytest.approx(rb.avgdl, abs=0, rel=0)
-    assert ra._c_off is not None  # champion lists rebuilt by the merge
     sa, sb = Searcher(ra), Searcher(rb)
     dead = set(victims)
     for q in QUERIES:
@@ -463,7 +459,6 @@ def test_masked_hot_term_scores_like_the_oracle(sf_unit, tmp_path):
     build_index(sf_unit["corpus"], idx, IndexConfig(
         token_cols=("path", "lang"), field_cols=("repo",),
         stored_cols=("repo",), num_shards=4, block_size=16,
-        champion_m=0,
     ))
     r = IndexReader(idx)
     terms = [t for t in r.terms if ":" not in t]
