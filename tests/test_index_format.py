@@ -216,11 +216,14 @@ def test_crash_leftover_in_docs_is_not_read(built, tmp_path, durable_writes):
 
 
 # ------------------------------------------------ half-refreshed index
-def test_bounds_valid_on_half_refreshed_index(sf_unit, tmp_path,
+@pytest.mark.parametrize("old_champion_m", [0, 4])
+def test_bounds_valid_on_half_refreshed_index(sf_unit, tmp_path, old_champion_m,
                                               window_bounds_cover_scores):
     """A refresh cut short leaves some shard files with the new df while
-    the manifest keeps the old n_docs/avgdl. On an index in the older
-    layout, the files it rewrote also differ in schema from the rest.
+    the manifest keeps the old n_docs/avgdl. ``old_champion_m`` 0 is an
+    index in the current layout; 4 one in the older layout (champion lists
+    of length 4), where the files the refresh rewrote also differ in
+    schema from the rest.
     Deleting the longest docs shrinks avgdl (so the refresh scales
     nothing): block bounds in the reader's view must still cover every
     posting score and every window bound every doc score in it, and
@@ -233,7 +236,9 @@ def test_bounds_valid_on_half_refreshed_index(sf_unit, tmp_path,
     )
     idx = str(tmp_path / "idx")
     build_index(src, idx, cfg)
-    _to_old_format(idx)
+    if old_champion_m:
+        assert old_champion_m == M_OLD
+        _to_old_format(idx)
     r0 = IndexReader(idx)
     longest = r0._doc_ids_sorted[np.argsort(-r0._doclens_sorted, kind="stable")]
     delete_docs(idx, longest[: r0.n_docs // 5])
